@@ -1004,22 +1004,22 @@ func BenchmarkQueryTruthAgg(b *testing.B) {
 // metric by Pct01).
 
 var dirtyBench struct {
-	once     sync.Once
-	s        *latenttruth.TruthServer
-	entities []string
-	sources  []string
-	round    int
-	err      error
+	corpusOnce sync.Once
+	serverOnce sync.Once
+	rows       []latenttruth.Row
+	s          *latenttruth.TruthServer
+	entities   []string
+	sources    []string
+	round      int
+	err        error
 }
 
 const dirtyBenchClaims = 1_000_000
 
-// dirtyBenchSetup generates the corpus, ingests it and runs the full
-// anchor fit once; every bench then mutates and refits the shared server
-// (the accumulated growth per iteration is negligible next to the corpus).
-func dirtyBenchSetup(b *testing.B) *latenttruth.TruthServer {
+// dirtyBenchCorpus generates the bench corpus once, as ingestable rows.
+func dirtyBenchCorpus(b *testing.B) {
 	b.Helper()
-	dirtyBench.once.Do(func() {
+	dirtyBench.corpusOnce.Do(func() {
 		ds, err := latenttruth.ScaleCorpus(latenttruth.ScaleSpec{
 			Claims: dirtyBenchClaims, Seed: 31,
 		})
@@ -1027,44 +1027,62 @@ func dirtyBenchSetup(b *testing.B) *latenttruth.TruthServer {
 			dirtyBench.err = err
 			return
 		}
-		var rows []latenttruth.Row
 		for _, c := range ds.Claims {
 			if c.Observation {
 				f := ds.Facts[c.Fact]
-				rows = append(rows, latenttruth.Row{
+				dirtyBench.rows = append(dirtyBench.rows, latenttruth.Row{
 					Entity:    ds.Entities[f.Entity],
 					Attribute: f.Attribute,
 					Source:    ds.Sources[c.Source],
 				})
 			}
 		}
-		s, err := latenttruth.NewTruthServer(latenttruth.ServeConfig{
-			LTM:           latenttruth.Config{Iterations: 25, BurnIn: 5, Seed: 7},
-			Policy:        latenttruth.RefitDirty,
-			FullEvery:     1 << 30, // dirty refits only; the anchor is explicit
-			RefitInterval: -1,
-			Shards:        8,
-		})
-		if err != nil {
-			dirtyBench.err = err
-			return
-		}
-		if _, err := s.Ingest(rows); err != nil {
-			dirtyBench.err = err
-			return
-		}
-		if _, err := s.Refit(""); err != nil { // full anchor fit
-			dirtyBench.err = err
-			return
-		}
-		dirtyBench.s = s
 		dirtyBench.entities = append([]string(nil), ds.Entities...)
 		dirtyBench.sources = []string{ds.Sources[0], ds.Sources[1%len(ds.Sources)]}
 	})
 	if dirtyBench.err != nil {
 		b.Fatal(dirtyBench.err)
 	}
+}
+
+// dirtyBenchSetup builds the shared in-memory server once; every bench
+// then mutates and refits it (the accumulated growth per iteration is
+// negligible next to the corpus).
+func dirtyBenchSetup(b *testing.B) *latenttruth.TruthServer {
+	b.Helper()
+	dirtyBenchCorpus(b)
+	dirtyBench.serverOnce.Do(func() {
+		dirtyBench.s, dirtyBench.err = newDirtyBenchServer(latenttruth.DurabilityConfig{})
+	})
+	if dirtyBench.err != nil {
+		b.Fatal(dirtyBench.err)
+	}
 	return dirtyBench.s
+}
+
+// newDirtyBenchServer ingests the bench corpus into a dirty-policy server
+// and runs the full anchor fit (and, when durable, its first checkpoint).
+func newDirtyBenchServer(dur latenttruth.DurabilityConfig) (*latenttruth.TruthServer, error) {
+	s, err := latenttruth.NewTruthServer(latenttruth.ServeConfig{
+		LTM:           latenttruth.Config{Iterations: 25, BurnIn: 5, Seed: 7},
+		Policy:        latenttruth.RefitDirty,
+		FullEvery:     1 << 30, // dirty refits only; the anchor is explicit
+		RefitInterval: -1,
+		Shards:        8,
+		Durability:    dur,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if _, err := s.Ingest(dirtyBench.rows); err != nil {
+		s.Close()
+		return nil, err
+	}
+	if _, err := s.Refit(""); err != nil { // full anchor fit
+		s.Close()
+		return nil, err
+	}
+	return s, nil
 }
 
 // dirtyBenchBatch asserts one never-seen attribute for the first n
@@ -1082,8 +1100,7 @@ func dirtyBenchBatch(n, round int) []latenttruth.Row {
 	return rows
 }
 
-func benchmarkDirtyRefit(b *testing.B, pct float64, override latenttruth.RefitPolicy, countFlips bool) {
-	s := dirtyBenchSetup(b)
+func benchmarkDirtyRefit(b *testing.B, s *latenttruth.TruthServer, pct float64, override latenttruth.RefitPolicy, countFlips bool) {
 	n := int(float64(len(dirtyBench.entities)) * pct / 100)
 	if n < 1 {
 		n = 1
@@ -1137,15 +1154,35 @@ func benchmarkDirtyRefit(b *testing.B, pct float64, override latenttruth.RefitPo
 	}
 }
 
-func BenchmarkDirtyRefitPct01(b *testing.B) { benchmarkDirtyRefit(b, 0.1, "", true) }
+func BenchmarkDirtyRefitPct01(b *testing.B) {
+	benchmarkDirtyRefit(b, dirtyBenchSetup(b), 0.1, "", true)
+}
 
-func BenchmarkDirtyRefitPct10(b *testing.B) { benchmarkDirtyRefit(b, 10, "", false) }
+func BenchmarkDirtyRefitPct10(b *testing.B) {
+	benchmarkDirtyRefit(b, dirtyBenchSetup(b), 10, "", false)
+}
 
 // BenchmarkDirtyRefitFull is the baseline: the same 0.1% mutation load
 // refitted with a forced full fit — what every refit cost before the
 // dirty fast path.
 func BenchmarkDirtyRefitFull(b *testing.B) {
-	benchmarkDirtyRefit(b, 0.1, latenttruth.RefitFull, false)
+	benchmarkDirtyRefit(b, dirtyBenchSetup(b), 0.1, latenttruth.RefitFull, false)
+}
+
+// BenchmarkDirtyRefitDurablePct01 is Pct01 on a durable server, so each
+// refit also pays its checkpoint (the append-only triples.csv, the
+// posterior and the manifest, fsynced) and the WAL marker. The server is
+// rebuilt per run because its data directory lives under b.TempDir();
+// the build is off the clock.
+func BenchmarkDirtyRefitDurablePct01(b *testing.B) {
+	dirtyBenchCorpus(b)
+	s, err := newDirtyBenchServer(latenttruth.DurabilityConfig{DataDir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(s.Close)
+	b.ReportAllocs()
+	benchmarkDirtyRefit(b, s, 0.1, "", true)
 }
 
 // BenchmarkQueryTruthPaginated walks the full table in 1000-row pages,

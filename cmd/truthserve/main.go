@@ -205,7 +205,7 @@ func run() error {
 		MinBatch:      *minBatch,
 		Shards:        *shards,
 		SyncEvery:     *syncEvery,
-		Storage: *storage,
+		Storage:       *storage,
 		Durability: latenttruth.DurabilityConfig{
 			DataDir:           *dataDir,
 			Fsync:             latenttruth.FsyncPolicy(*fsync),

@@ -7,13 +7,13 @@
 // compiles into a pull pipeline of fact-id iterators, predicates are
 // evaluated inside the scan (never on materialized rows), and the most
 // selective access path available is chosen first — a (entity, attribute)
-// name pair resolves to a single fact through the snapshot's fact index,
-// an entity filter walks only that entity's fact list, a source filter
-// walks the source's claim postings, and only a fully unconstrained query
-// scans the fact table. Rows are materialized one at a time at the sink
-// (an HTTP encoder, a bounded top-k heap, or a streaming aggregator), so
-// memory stays O(page) — or O(k), or O(groups) — regardless of corpus
-// size.
+// name pair resolves to a single fact through the snapshot's entity index
+// plus a scan of that entity's few attributes, an entity filter walks only
+// that entity's fact list, a source filter walks the source's claim
+// postings, and only a fully unconstrained query scans the fact table.
+// Rows are materialized one at a time at the sink (an HTTP encoder, a
+// bounded top-k heap, or a streaming aggregator), so memory stays O(page)
+// — or O(k), or O(groups) — regardless of corpus size.
 //
 // Pagination cursors are opaque tokens binding the snapshot's refit
 // sequence number to the next fact id. Fact ids are stable within one

@@ -54,11 +54,7 @@ func viewOf(t testing.TB, ds *model.Dataset, seed int64) *View {
 		Prob:         res.Prob,
 		Threshold:    0.5,
 		Records:      records,
-		FactByName:   make(map[[2]string]int, ds.NumFacts()),
 		EntityByName: make(map[string]int, len(ds.Entities)),
-	}
-	for _, f := range ds.Facts {
-		v.FactByName[[2]string{ds.Entities[f.Entity], f.Attribute}] = f.ID
 	}
 	for e, name := range ds.Entities {
 		v.EntityByName[name] = e

@@ -77,12 +77,9 @@ func compile(v *View, opts TruthOptions) (factIter, error) {
 	residualSource := false
 	switch {
 	case opts.Entity != "" && opts.Attribute != "":
-		f, ok := v.FactByName[[2]string{opts.Entity, opts.Attribute}]
-		if !ok {
-			if _, ok := v.EntityByName[opts.Entity]; !ok {
-				return nil, ErrNoEntity
-			}
-			return nil, ErrNoFact
+		f, err := v.FactID(opts.Entity, opts.Attribute)
+		if err != nil {
+			return nil, err
 		}
 		it = &sliceIter{ids: []int{f}}
 		residualSource = opts.Source != ""

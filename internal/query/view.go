@@ -6,11 +6,11 @@ import (
 )
 
 // View is the read surface a query executes against: one immutable
-// snapshot's dataset, truth probabilities and name indexes. The maps are
+// snapshot's dataset, truth probabilities and entity index. The index is
 // shared with the snapshot that built the view — a View is a window, not a
 // copy — so construction is O(1) and the engine reuses the access paths
-// (FactByName, EntityByName, Dataset.FactsByEntity, Dataset.ClaimsBySource)
-// the serving layer already maintains.
+// (EntityByName, Dataset.FactsByEntity, Dataset.ClaimsBySource) the
+// serving layer already maintains.
 //
 // All fields are read-only after construction, matching the snapshot
 // immutability contract; a View may be queried concurrently.
@@ -27,10 +27,28 @@ type View struct {
 	// nil on views that only serve truth queries.
 	Records []integrate.Record
 
-	// FactByName indexes fact ids by (entity, attribute) name.
-	FactByName map[[2]string]int
-	// EntityByName indexes entity ids by name.
+	// EntityByName indexes entity ids by name. Named facts resolve through
+	// it plus a scan of the entity's FactsByEntity list (see FactID), so no
+	// per-fact name index exists.
 	EntityByName map[string]int
+}
+
+// FactID resolves the named fact: the entity lookup, then a scan of that
+// entity's facts for the attribute — a handful of comparisons, which is
+// what lets a snapshot skip building an O(facts) name map. It fails with
+// ErrNoEntity when the entity is unknown and ErrNoFact when the entity has
+// no such attribute.
+func (v *View) FactID(entity, attribute string) (int, error) {
+	e, ok := v.EntityByName[entity]
+	if !ok {
+		return 0, ErrNoEntity
+	}
+	for _, f := range v.Dataset.FactsByEntity[e] {
+		if v.Dataset.Facts[f].Attribute == attribute {
+			return f, nil
+		}
+	}
+	return 0, ErrNoFact
 }
 
 // Row is one streamed truth row: the fact id plus the served fields. The

@@ -79,6 +79,15 @@ type durable struct {
 	lastSeq       atomic.Int64
 	lastWALSeq    atomic.Uint64
 	lastDurationN atomic.Int64 // nanoseconds
+
+	// prevTriples is the newest checkpoint this process wrote on the
+	// memory backend and prevRows the row count its triples.csv covers:
+	// the next checkpoint copies that file (CRC-checked) and appends only
+	// the rows ingested since. Nil when there is no such checkpoint (first
+	// checkpoint, recovery, segment storage, or the last attempt failed).
+	// Touched only under Server.mu.
+	prevTriples *wal.Checkpoint
+	prevRows    int
 }
 
 // configHash fingerprints every configuration field that shapes the model
@@ -298,15 +307,20 @@ func (s *Server) restoreSnapshot(cp *wal.Checkpoint) error {
 // fail the refit — the snapshot is already live and the WAL still covers
 // everything — it is logged and counted for /durability.
 //
-// Cost note: under memory storage every checkpoint serializes the WHOLE
-// cumulative database as triples.csv, so the per-refit I/O is O(history).
-// Segment storage removes that: rows sealed by earlier checkpoints live
-// in immutable segment files that are simply referenced again, and only
-// the tail ingested since the previous checkpoint is sealed into one new
-// segment — O(new rows) per checkpoint, with the same bit-identical
-// restart guarantee. For very large histories on the memory kind, stretch
-// RefitInterval / MinBatch; the WAL alone keeps every acknowledged batch
-// durable between refits.
+// Cost note: under memory storage triples.csv holds the whole cumulative
+// database, but it is not re-encoded per refit. Rows are append-only, so
+// each checkpoint byte-copies the previous triples.csv this process wrote
+// (verifying its CRC32C against that checkpoint's manifest while copying)
+// and encodes only the rows ingested since: CSV work is O(new rows) and
+// the rest is a sequential O(history) file copy. A CRC mismatch fails the
+// checkpoint loudly and the next one re-encodes from Rows(), as does the
+// first checkpoint of a process (no previous file of its own). Segment
+// storage goes further: rows sealed by earlier checkpoints live in
+// immutable segment files that are simply referenced again, and only the
+// tail ingested since the previous checkpoint is sealed into one new
+// segment — O(new rows) per checkpoint, copy included, with the same
+// bit-identical restart guarantee. posterior.csv is still rewritten whole
+// (O(facts)) by both kinds.
 func (s *Server) checkpoint(snap *Snapshot) {
 	d := s.dur
 	start := time.Now()
@@ -330,8 +344,9 @@ func (s *Server) checkpoint(snap *Snapshot) {
 	// Corpus coverage: the segment backend seals the rows ingested since
 	// the previous checkpoint into one new immutable segment and records
 	// the full (append-only) segment list in the manifest instead of a
-	// CSV copy; the memory backend keeps writing triples.csv wholesale.
+	// CSV copy; the memory backend writes the whole corpus as triples.csv.
 	var triples func(io.Writer) error
+	rows := 0
 	if sb, ok := s.db.(*store.SegmentBacked); ok {
 		refs, err := sb.Seal(uint64(snap.Seq))
 		if err != nil {
@@ -341,9 +356,26 @@ func (s *Server) checkpoint(snap *Snapshot) {
 		m.Storage = store.StorageSegments
 		m.Segments = refs
 	} else {
-		rows := s.db.Rows()
-		triples = func(w io.Writer) error { return dataset.WriteTriplesRows(w, rows) }
+		all := s.db.Rows()
+		rows = len(all)
+		triples = func(w io.Writer) error { return dataset.WriteTriplesRows(w, all) }
+		if prev := d.prevTriples; prev != nil && d.prevRows <= rows {
+			// Rows are append-only, so the previous triples.csv is a byte
+			// prefix of this one: copy it, verifying its CRC on the way,
+			// and encode only the rows ingested since.
+			n := d.prevRows
+			triples = func(w io.Writer) error {
+				if err := prev.CopyTriples(w); err != nil {
+					return err
+				}
+				return dataset.AppendTriplesRows(w, all[n:])
+			}
+		}
 	}
+	// Until this checkpoint is known good, the next one encodes from
+	// Rows(): a failed attempt (a CRC mismatch above included) must never
+	// become the prefix of a later file.
+	d.prevTriples = nil
 	// The posterior makes the checkpoint a full snapshot restore point:
 	// recovery (and a bootstrapping follower) reconstructs the published
 	// probabilities bit-exactly, so a subsequent dirty refit extends the
@@ -359,6 +391,9 @@ func (s *Server) checkpoint(snap *Snapshot) {
 	if err != nil || len(left) == 0 {
 		s.checkpointFailed(fmt.Errorf("pruning checkpoints: %w", err))
 		return
+	}
+	if newest := left[len(left)-1]; triples != nil && newest.Manifest.Seq == m.Seq {
+		d.prevTriples, d.prevRows = &newest, rows
 	}
 	// Evict dead or hopelessly lagging follower cursors first, so one
 	// stuck follower cannot pin the WAL forever (it re-bootstraps from a

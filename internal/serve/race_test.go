@@ -232,7 +232,7 @@ func TestSnapshotSwapInProcess(t *testing.T) {
 				lastSeq = sn.Seq
 				if len(sn.Result.Prob) != sn.Dataset.NumFacts() ||
 					len(sn.Records) != sn.Dataset.NumEntities() ||
-					len(sn.factByName) != sn.Dataset.NumFacts() {
+					len(sn.entityByName) != sn.Dataset.NumEntities() {
 					errs <- fmt.Errorf("torn snapshot at seq %d", sn.Seq)
 					return
 				}

@@ -221,7 +221,7 @@ func (s *Server) fitLocked(override RefitPolicy, dr drainResult, sp *obs.Span) (
 		quality       []model.SourceQuality
 		mode          RefitPolicy
 		dirtyEntities int
-		records       []integrate.Record
+		rm            *readModels
 	)
 	fullFit := func(prepared *model.Dataset) error {
 		ds = prepared
@@ -254,7 +254,7 @@ func (s *Server) fitLocked(override RefitPolicy, dr drainResult, sp *obs.Span) (
 			}
 			break
 		}
-		ds, res, quality, records = out.ds, out.res, out.quality, out.records
+		ds, res, quality, rm = out.ds, out.res, out.quality, out.rm
 		mode, dirtyEntities = RefitDirty, out.dirtyEntities
 	default:
 		ds = model.BuildRows(s.db.Rows())
@@ -278,7 +278,7 @@ func (s *Server) fitLocked(override RefitPolicy, dr drainResult, sp *obs.Span) (
 		freshness = time.Since(oldest)
 	}
 	snap, err := newSnapshot(done+1, ds, res, core.RankedQuality(quality),
-		s.cfg.Threshold, mode, time.Since(start), compacted, freshness, records)
+		s.cfg.Threshold, mode, time.Since(start), compacted, freshness, rm)
 	if err != nil {
 		return nil, 0, fmt.Errorf("serve: building snapshot: %w", err)
 	}
@@ -317,9 +317,9 @@ type dirtyOutcome struct {
 	ds      *model.Dataset
 	res     *model.Result
 	quality []model.SourceQuality
-	// records are the merged records for ds, scattered incrementally from
-	// the previous snapshot (clean entities keep their record untouched).
-	records       []integrate.Record
+	// rm are the read models for ds, patched from the previous snapshot's
+	// (clean entities keep their record untouched; see carryReadModels).
+	rm            *readModels
 	dirtyEntities int
 	fallback      bool
 	fallbackDS    *model.Dataset
@@ -337,19 +337,19 @@ func (s *Server) dirtyFit(prev *Snapshot, fresh []model.Row, dirty map[string]st
 		// A forced refit with nothing pending: republish the previous
 		// serving state under the next sequence number.
 		return dirtyOutcome{ds: prev.Dataset, res: prev.Result, quality: prev.Quality,
-			records: prev.Records}, nil
+			rm: &readModels{records: prev.Records, entityByName: prev.entityByName, stats: prev.Stats}}, nil
 	}
-	var ext *store.Extension
-	var err error
+	var rd store.Reader
 	if _, ok := s.db.(*store.SegmentBacked); ok {
 		// On the segment backend the dirty entities' claim history is
 		// re-read through the reader, whose zone maps and blooms skip every
 		// segment (and page) that holds no dirty entity — the refit's I/O is
 		// proportional to the dirty set, not the corpus.
-		ext, err = store.ExtendDirtyScan(prev.Dataset, fresh, dirty, s.db.Reader())
-	} else {
-		ext, err = store.ExtendDirty(prev.Dataset, fresh, dirty)
+		rd = s.db.Reader()
 	}
+	// The previous snapshot's entity index stands in for the name map the
+	// extension would otherwise rebuild over every entity.
+	ext, err := store.ExtendDirtyIndexed(prev.Dataset, prev.entityByName, fresh, dirty, rd)
 	if err != nil {
 		// A tracking invariant broke (should not happen); the full path is
 		// always correct, so fall back loudly rather than fail the refit.
@@ -391,7 +391,7 @@ func (s *Server) dirtyFit(prev *Snapshot, fresh []model.Row, dirty map[string]st
 		ds:            ext.Full,
 		res:           &model.Result{Method: prev.Result.Method, Prob: prob},
 		quality:       s.online.Quality(),
-		records:       records,
+		rm:            carryReadModels(prev, ext, records),
 		dirtyEntities: ext.DirtyEntities,
 	}, nil
 }

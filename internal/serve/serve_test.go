@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 
 	"latenttruth/internal/core"
 	"latenttruth/internal/model"
+	"latenttruth/internal/query"
 	"latenttruth/internal/store"
 	"latenttruth/internal/synth"
 )
@@ -507,14 +509,62 @@ func checkSnapshotComplete(t *testing.T, sn *Snapshot) {
 	if len(sn.Records) != sn.Dataset.NumEntities() {
 		t.Fatalf("snapshot %d: %d records for %d entities", sn.Seq, len(sn.Records), sn.Dataset.NumEntities())
 	}
-	if len(sn.factByName) != nf {
-		t.Fatalf("snapshot %d: truth index has %d entries for %d facts", sn.Seq, len(sn.factByName), nf)
+	if len(sn.entityByName) != sn.Dataset.NumEntities() {
+		t.Fatalf("snapshot %d: entity index has %d entries for %d entities",
+			sn.Seq, len(sn.entityByName), sn.Dataset.NumEntities())
 	}
+	checkSnapshotLookups(t, sn)
 	if got := store.Summarize(sn.Dataset); got != sn.Stats {
 		t.Fatalf("snapshot %d: stats %+v, recomputed %+v", sn.Seq, sn.Stats, got)
 	}
 	if err := sn.Result.Validate(); err != nil {
 		t.Fatalf("snapshot %d: %v", sn.Seq, err)
+	}
+}
+
+// checkSnapshotLookups asserts every name the snapshot serves resolves to
+// its own id: each (entity, attribute) through Truth and QueryTruth to its
+// fact, each entity through the entity index to its id; an unknown entity
+// fails with ErrNoEntity and a known entity's unknown attribute with
+// ErrNoFact.
+func checkSnapshotLookups(t *testing.T, sn *Snapshot) {
+	t.Helper()
+	ds := sn.Dataset
+	for e, name := range ds.Entities {
+		if got, ok := sn.entityByName[name]; !ok || got != e {
+			t.Fatalf("snapshot %d: entity %q resolves to %d/%v, want %d", sn.Seq, name, got, ok, e)
+		}
+	}
+	for _, f := range ds.Facts {
+		ent := ds.Entities[f.Entity]
+		if got, err := sn.Truth(ent, f.Attribute); err != nil || got != sn.row(f.ID) {
+			t.Fatalf("snapshot %d: Truth(%q, %q) = %+v/%v, want fact %d", sn.Seq, ent, f.Attribute, got, err, f.ID)
+		}
+		rows, err := sn.QueryTruth(query.TruthOptions{Entity: ent, Attribute: f.Attribute})
+		if err != nil {
+			t.Fatalf("snapshot %d: QueryTruth(%q, %q): %v", sn.Seq, ent, f.Attribute, err)
+		}
+		if row, ok := rows.Next(); !ok || row.Fact != f.ID {
+			t.Fatalf("snapshot %d: QueryTruth(%q, %q) = %+v/%v, want fact %d", sn.Seq, ent, f.Attribute, row, ok, f.ID)
+		}
+		if _, ok := rows.Next(); ok {
+			t.Fatalf("snapshot %d: QueryTruth(%q, %q) yields more than one row", sn.Seq, ent, f.Attribute)
+		}
+	}
+	if _, err := sn.Truth("\x00no-such-entity", "a"); !errors.Is(err, ErrNoEntity) {
+		t.Fatalf("snapshot %d: unknown entity: %v, want ErrNoEntity", sn.Seq, err)
+	}
+	if _, err := sn.QueryTruth(query.TruthOptions{Entity: "\x00no-such-entity", Attribute: "a"}); !errors.Is(err, ErrNoEntity) {
+		t.Fatalf("snapshot %d: unknown entity query: %v, want ErrNoEntity", sn.Seq, err)
+	}
+	if len(ds.Entities) > 0 {
+		ent := ds.Entities[0]
+		if _, err := sn.Truth(ent, "\x00no-such-attribute"); !errors.Is(err, ErrNoFact) {
+			t.Fatalf("snapshot %d: unknown attribute: %v, want ErrNoFact", sn.Seq, err)
+		}
+		if _, err := sn.QueryTruth(query.TruthOptions{Entity: ent, Attribute: "\x00no-such-attribute"}); !errors.Is(err, ErrNoFact) {
+			t.Fatalf("snapshot %d: unknown attribute query: %v, want ErrNoFact", sn.Seq, err)
+		}
 	}
 }
 

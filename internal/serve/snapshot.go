@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"maps"
 	"time"
 
 	"latenttruth/internal/core"
@@ -32,8 +33,8 @@ type TruthRow struct {
 
 // Snapshot is one immutable serving state: the compacted dataset paired
 // with the fit that produced the current truth estimates, plus the derived
-// read models (truth index, integrated record table, corpus stats) that
-// make hot queries map lookups instead of recomputation. Snapshots are
+// read models (entity index, integrated record table, corpus stats) that
+// make hot queries lookups instead of recomputation. Snapshots are
 // built off the request path and published wholesale via an atomic pointer
 // swap; all fields and methods are read-only after publication.
 type Snapshot struct {
@@ -82,62 +83,87 @@ type Snapshot struct {
 	// QualityPriors are the base Beta priors paired with QualityCounts.
 	QualityPriors core.Priors
 
-	// factByName indexes fact ids by (entity, attribute) name.
-	factByName map[[2]string]int
 	// entityByName indexes entity ids by name; Records shares the same
 	// order (integrate.Merge emits one record per entity in entity order).
+	// Named facts resolve through it plus a scan of the entity's facts
+	// (query.View.FactID). A dirty snapshot without new entities shares its
+	// predecessor's map; maps are never written after publication.
 	entityByName map[string]int
 	// view is the query engine's window onto this snapshot (shares the
-	// dataset and indexes above; built once at publication).
+	// dataset and index above; built once at publication).
 	view query.View
 }
 
-// newSnapshot derives the read models and freezes the serving state.
-// records, when non-nil, are the precomputed merged records for ds (the
-// dirty fast path scatters them incrementally instead of re-merging the
-// whole corpus); nil derives them here.
+// readModels are a snapshot's derived read structures when the caller can
+// produce them cheaper than a from-scratch derivation: the dirty fast path
+// carries them over from the previous snapshot and patches only what the
+// dirty set changed, so publishing costs O(dirty), not O(corpus).
+type readModels struct {
+	// records are the merged records for the dataset, in entity order.
+	records []integrate.Record
+	// entityByName indexes every entity of the dataset by name.
+	entityByName map[string]int
+	// stats equals store.Summarize of the dataset.
+	stats store.Stats
+}
+
+// carryReadModels derives a dirty snapshot's read models from its
+// predecessor's: the entity index is shared outright when the extension
+// added no entity, and otherwise cloned with only the new names added
+// (entity ids are stable, so every old name keeps its id); the stats come
+// from the predecessor's plus the dirty facts' claim-count delta.
+func carryReadModels(prev *Snapshot, ext *store.Extension, records []integrate.Record) *readModels {
+	idx := prev.entityByName
+	if n0 := prev.Dataset.NumEntities(); ext.Full.NumEntities() > n0 {
+		idx = maps.Clone(idx)
+		for e, name := range ext.Full.Entities[n0:] {
+			idx[name] = n0 + e
+		}
+	}
+	return &readModels{records: records, entityByName: idx, stats: ext.Summarize(prev.Stats)}
+}
+
+// newSnapshot freezes the serving state. rm, when non-nil, supplies the
+// derived read models (the dirty fast path patches its predecessor's);
+// nil derives them here from ds and res.
 func newSnapshot(seq int64, ds *model.Dataset, res *model.Result,
 	quality []model.SourceQuality, threshold float64, mode RefitPolicy,
 	dur time.Duration, compacted int, freshness time.Duration,
-	records []integrate.Record) (*Snapshot, error) {
+	rm *readModels) (*Snapshot, error) {
 
-	if records == nil {
-		var err error
-		records, err = integrate.Merge(ds, res, threshold)
+	if rm == nil {
+		records, err := integrate.Merge(ds, res, threshold)
 		if err != nil {
 			return nil, err
 		}
+		idx := make(map[string]int, len(ds.Entities))
+		for e, name := range ds.Entities {
+			idx[name] = e
+		}
+		rm = &readModels{records: records, entityByName: idx, stats: store.Summarize(ds)}
 	}
 	sn := &Snapshot{
 		Seq:           seq,
 		Dataset:       ds,
 		Result:        res,
 		Quality:       quality,
-		Records:       records,
-		Stats:         store.Summarize(ds),
+		Records:       rm.records,
+		Stats:         rm.stats,
 		Threshold:     threshold,
 		Mode:          mode,
 		FittedAt:      time.Now(),
 		RefitDuration: dur,
 		Compacted:     compacted,
 		Freshness:     freshness,
-		factByName:    make(map[[2]string]int, ds.NumFacts()),
-		entityByName:  make(map[string]int, len(ds.Entities)),
-	}
-	for _, f := range ds.Facts {
-		sn.factByName[[2]string{ds.Entities[f.Entity], f.Attribute}] = f.ID
-	}
-	for e, name := range ds.Entities {
-		sn.entityByName[name] = e
+		entityByName:  rm.entityByName,
 	}
 	sn.view = query.View{
 		Seq:          sn.Seq,
 		Dataset:      ds,
 		Prob:         res.Prob,
 		Threshold:    threshold,
-		Records:      records,
-		FactByName:   sn.factByName,
-		EntityByName: sn.entityByName,
+		Records:      rm.records,
+		EntityByName: rm.entityByName,
 	}
 	return sn, nil
 }
@@ -166,12 +192,9 @@ func (sn *Snapshot) row(f int) TruthRow {
 // when the entity is unknown and ErrNoFact when the entity exists but has
 // no such attribute.
 func (sn *Snapshot) Truth(entity, attribute string) (TruthRow, error) {
-	f, ok := sn.factByName[[2]string{entity, attribute}]
-	if !ok {
-		if _, ok := sn.entityByName[entity]; !ok {
-			return TruthRow{}, ErrNoEntity
-		}
-		return TruthRow{}, ErrNoFact
+	f, err := sn.view.FactID(entity, attribute)
+	if err != nil {
+		return TruthRow{}, err
 	}
 	return sn.row(f), nil
 }
@@ -212,10 +235,10 @@ func (sn *Snapshot) Record(entity string) (integrate.Record, error) {
 
 // QueryTruth compiles opts against this snapshot and returns a streaming
 // result: predicates are evaluated inside the scan (using the snapshot's
-// fact/entity indexes to skip rather than scan when a filter is
-// selective), and nothing is materialized beyond the rows the caller
-// pulls. Pagination cursors minted here resume exactly on this snapshot
-// and fail with ErrStaleCursor on any other.
+// entity index to skip rather than scan when a filter is selective), and
+// nothing is materialized beyond the rows the caller pulls. Pagination
+// cursors minted here resume exactly on this snapshot and fail with
+// ErrStaleCursor on any other.
 func (sn *Snapshot) QueryTruth(opts query.TruthOptions) (*query.Rows, error) {
 	return query.Truth(&sn.view, opts)
 }

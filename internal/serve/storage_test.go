@@ -419,7 +419,7 @@ func TestClaimsEndpointPushdown(t *testing.T) {
 		mustRefit(t, s) // checkpoint → seal: rows live in segments
 	}
 	var out struct {
-		Count  int `json:"count"`
+		Count  int                                          `json:"count"`
 		Claims []struct{ Entity, Attribute, Source string } `json:"claims"`
 	}
 	decodeJSON(t, mustGet(t, ts.URL+"/claims?entity=e03"), &out)

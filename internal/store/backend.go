@@ -65,11 +65,11 @@ type Reader interface {
 // sealed segments (for Memory the latter is always zero — the counts are
 // deliberately not conflated).
 type StorageStats struct {
-	Kind            string `json:"kind"`
-	Resident        int    `json:"resident_rows"`
-	OnDisk          int    `json:"disk_rows"`
-	Segments        int    `json:"segments"`
-	SegmentBytes    int64  `json:"segment_bytes"`
+	Kind         string `json:"kind"`
+	Resident     int    `json:"resident_rows"`
+	OnDisk       int    `json:"disk_rows"`
+	Segments     int    `json:"segments"`
+	SegmentBytes int64  `json:"segment_bytes"`
 	// SegmentsScanned counts scan legs that had to open a segment;
 	// SegmentsSkipped counts legs pruned by zone map or bloom without any
 	// I/O; PagesScanned counts pages decoded inside scanned segments.

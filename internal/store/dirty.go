@@ -36,6 +36,19 @@ type Extension struct {
 	// equals Full.NumEntities() there is no clean remainder to condition on
 	// and the caller should fall back to a full refit.
 	DirtyEntities int
+
+	// positiveDelta is Full's positive-claim count minus prev's: the dirty
+	// facts' re-derived positives minus the positives their previous claims
+	// held (clean facts' claims are copied, so they contribute nothing).
+	positiveDelta int
+}
+
+// Summarize returns Summarize(x.Full) given prev, the Summarize of the
+// dataset x extended. It costs O(1): the shape is read off Full's table
+// sizes and the positive-claim count is prev's plus the dirty facts'
+// before/after difference ExtendDirty recorded — no pass over the claims.
+func (x *Extension) Summarize(prev Stats) Stats {
+	return summarizeShape(x.Full, prev.PositiveClaims+x.positiveDelta)
 }
 
 // ExtendDirty extends prev — the dataset built from an append-only raw
@@ -52,7 +65,7 @@ type Extension struct {
 // fresh are ignored (they come from de-duplicated re-ingests of rows the
 // database already holds under an entity the previous snapshot covers).
 func ExtendDirty(prev *model.Dataset, fresh []model.Row, dirty map[string]struct{}) (*Extension, error) {
-	return extendDirty(prev, fresh, dirty, nil)
+	return extendDirty(prev, nil, fresh, dirty, nil)
 }
 
 // ExtendDirtyScan is ExtendDirty with the cover/positive sets derived from
@@ -69,10 +82,25 @@ func ExtendDirtyScan(prev *model.Dataset, fresh []model.Row, dirty map[string]st
 	if rd == nil {
 		return nil, fmt.Errorf("store: ExtendDirtyScan requires a reader")
 	}
-	return extendDirty(prev, fresh, dirty, rd)
+	return extendDirty(prev, nil, fresh, dirty, rd)
 }
 
-func extendDirty(prev *model.Dataset, fresh []model.Row, dirty map[string]struct{}, rd Reader) (*Extension, error) {
+// ExtendDirtyIndexed is ExtendDirty (rd nil) or ExtendDirtyScan (rd
+// non-nil) with prev's entity-name index supplied by the caller: index
+// must map every prev entity name to its id, and is only read. A serving
+// snapshot already holds that index, so the extension then builds no map
+// proportional to the corpus — only the new entities' names are indexed.
+// The Extension is identical to the one the unindexed forms return.
+func ExtendDirtyIndexed(prev *model.Dataset, index map[string]int, fresh []model.Row, dirty map[string]struct{}, rd Reader) (*Extension, error) {
+	if index == nil {
+		return nil, fmt.Errorf("store: ExtendDirtyIndexed requires an entity index")
+	}
+	return extendDirty(prev, index, fresh, dirty, rd)
+}
+
+// extendDirty is the shared extension. prevIndex, when non-nil, is prev's
+// read-only entity-name index; nil builds one here.
+func extendDirty(prev *model.Dataset, prevIndex map[string]int, fresh []model.Row, dirty map[string]struct{}, rd Reader) (*Extension, error) {
 	if prev == nil {
 		return nil, fmt.Errorf("store: ExtendDirty requires a previous dataset")
 	}
@@ -85,9 +113,21 @@ func extendDirty(prev *model.Dataset, fresh []model.Row, dirty map[string]struct
 	facts := prev.Facts[:nF0:nF0]
 	fbe := append([][]int(nil), prev.FactsByEntity...)
 
-	entityID := make(map[string]int, nE0+len(fresh))
-	for e, name := range prev.Entities {
-		entityID[name] = e
+	if prevIndex == nil {
+		prevIndex = make(map[string]int, nE0)
+		for e, name := range prev.Entities {
+			prevIndex[name] = e
+		}
+	}
+	// newEntityID indexes only the entities the fresh rows add; prevIndex
+	// is never written (it may be shared with a published snapshot).
+	newEntityID := make(map[string]int)
+	entityID := func(name string) (int, bool) {
+		if e, ok := prevIndex[name]; ok {
+			return e, true
+		}
+		e, ok := newEntityID[name]
+		return e, ok
 	}
 	sourceID := make(map[string]int, nS0)
 	for s, name := range prev.Sources {
@@ -97,7 +137,7 @@ func extendDirty(prev *model.Dataset, fresh []model.Row, dirty map[string]struct
 	// isDirty marks dirty entity ids; grows as fresh rows add entities.
 	isDirty := make([]bool, nE0)
 	for name := range dirty {
-		if e, ok := entityID[name]; ok {
+		if e, ok := prevIndex[name]; ok {
 			isDirty[e] = true
 		}
 	}
@@ -120,10 +160,10 @@ func extendDirty(prev *model.Dataset, fresh []model.Row, dirty map[string]struct
 	coverNew := make(map[int]map[int]struct{})
 	fbeCopied := make(map[int]bool)
 	for i, r := range fresh {
-		e, ok := entityID[r.Entity]
+		e, ok := entityID(r.Entity)
 		if !ok {
 			e = len(entities)
-			entityID[r.Entity] = e
+			newEntityID[r.Entity] = e
 			entities = append(entities, r.Entity)
 			fbe = append(fbe, nil)
 			isDirty = append(isDirty, true)
@@ -232,7 +272,7 @@ func extendDirty(prev *model.Dataset, fresh []model.Row, dirty map[string]struct
 			if scanErr != nil {
 				return
 			}
-			e, okE := entityID[r.Entity]
+			e, okE := entityID(r.Entity)
 			s, okS := sourceID[r.Source]
 			f, okF := factID[[2]string{r.Entity, r.Attribute}]
 			if !okE || !okS || !okF {
@@ -261,11 +301,33 @@ func extendDirty(prev *model.Dataset, fresh []model.Row, dirty map[string]struct
 		cover[e] = sorted
 	}
 
+	// Exact claim total, counted before allocating so the claim array is
+	// never re-grown (a new covering source adds a claim to every fact of
+	// its entity, which a len(prev)+len(fresh) guess undercounts): every
+	// previous claim of a clean fact is copied, and every dirty fact gets
+	// one claim per covering source of its entity. The same pass records
+	// the positive-claim delta Summarize needs.
+	total, positiveDelta := len(prev.Claims), 0
+	for _, e := range dirtyIDs {
+		for _, f := range fbe[e] {
+			total += len(cover[e])
+			positiveDelta += len(positives[f])
+			if f < nF0 {
+				total -= len(prev.ClaimsByFact[f])
+				for _, ci := range prev.ClaimsByFact[f] {
+					if prev.Claims[ci].Observation {
+						positiveDelta--
+					}
+				}
+			}
+		}
+	}
+
 	// Emit claims fact-major, exactly as Build does: clean facts copy their
 	// previous claims wholesale (prev.Claims is fact-major, so consecutive
 	// clean facts form one contiguous copyable run), dirty facts re-derive
 	// from cover/positives with sources in ascending id order.
-	claims := make([]model.Claim, 0, len(prev.Claims)+len(fresh))
+	claims := make([]model.Claim, 0, total)
 	runStart, runEnd := -1, -1
 	flush := func() {
 		if runStart >= 0 {
@@ -305,7 +367,8 @@ func extendDirty(prev *model.Dataset, fresh []model.Row, dirty map[string]struct
 	reindexContiguous(full)
 
 	sub, subFacts := buildDirtySub(full, dirtyIDs, cover, positives)
-	return &Extension{Full: full, Sub: sub, SubFacts: subFacts, SubEntities: dirtyIDs, DirtyEntities: len(dirtyIDs)}, nil
+	return &Extension{Full: full, Sub: sub, SubFacts: subFacts, SubEntities: dirtyIDs,
+		DirtyEntities: len(dirtyIDs), positiveDelta: positiveDelta}, nil
 }
 
 // reindexContiguous rebuilds ClaimsByFact and ClaimsBySource over a

@@ -167,3 +167,72 @@ func TestExtendDirtyRejectsCleanFresh(t *testing.T) {
 		t.Fatal("ExtendDirty accepted a fresh row outside the dirty set")
 	}
 }
+
+// TestExtendDirtyIndexedMatchesUnindexed chains random dirty extensions
+// through ExtendDirtyIndexed — both bases, fed the index a serving snapshot
+// would hold — and checks each step against the unindexed ExtendDirty:
+// identical Extension, claim array sized exactly (never re-grown), the
+// caller's index left untouched, and Summarize derived from the previous
+// stats equal to a full Summarize pass.
+func TestExtendDirtyIndexedMatchesUnindexed(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 60; trial++ {
+		rows := randomRows(rng, 2+rng.Intn(20), 1+rng.Intn(4), 1+rng.Intn(8), 4+rng.Intn(150))
+		db := model.NewRawDB()
+		var distinct []model.Row
+		for _, r := range rows {
+			if db.AddRow(r) {
+				distinct = append(distinct, r)
+			}
+		}
+		cut := 1 + rng.Intn(len(distinct))
+		prefix := model.NewRawDB()
+		for _, r := range distinct[:cut] {
+			prefix.AddRow(r)
+		}
+		prev := model.Build(prefix)
+		stats := Summarize(prev)
+		for cut < len(distinct) {
+			next := cut + 1 + rng.Intn(len(distinct)-cut)
+			fresh := distinct[cut:next]
+			dirty := make(map[string]struct{})
+			for _, r := range fresh {
+				dirty[r.Entity] = struct{}{}
+			}
+			dirty[prev.Entities[rng.Intn(len(prev.Entities))]] = struct{}{}
+			index := make(map[string]int, len(prev.Entities))
+			for e, name := range prev.Entities {
+				index[name] = e
+			}
+
+			want, err := ExtendDirty(prev, fresh, dirty)
+			if err != nil {
+				t.Fatalf("trial %d: ExtendDirty: %v", trial, err)
+			}
+			upto := model.NewRawDB()
+			for _, r := range distinct[:next] {
+				upto.AddRow(r)
+			}
+			for _, rd := range []Reader{nil, NewMemoryFrom(upto).Reader()} {
+				got, err := ExtendDirtyIndexed(prev, index, fresh, dirty, rd)
+				if err != nil {
+					t.Fatalf("trial %d: ExtendDirtyIndexed: %v", trial, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d (scan=%t): indexed extension differs from ExtendDirty", trial, rd != nil)
+				}
+				if len(index) != len(prev.Entities) {
+					t.Fatalf("trial %d: caller's index grew to %d for %d entities", trial, len(index), len(prev.Entities))
+				}
+			}
+			if c := want.Full.Claims; cap(c) != len(c) {
+				t.Fatalf("trial %d: claim array cap %d for %d claims (mis-sized)", trial, cap(c), len(c))
+			}
+			stats = want.Summarize(stats)
+			if full := Summarize(want.Full); stats != full {
+				t.Fatalf("trial %d: derived stats %+v, Summarize %+v", trial, stats, full)
+			}
+			prev, cut = want.Full, next
+		}
+	}
+}

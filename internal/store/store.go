@@ -25,19 +25,26 @@ type Stats struct {
 
 // Summarize computes Stats for ds.
 func Summarize(ds *model.Dataset) Stats {
-	s := Stats{
-		Entities: ds.NumEntities(),
-		Sources:  ds.NumSources(),
-		Facts:    ds.NumFacts(),
-		Claims:   ds.NumClaims(),
-		Labeled:  len(ds.Labels),
-	}
+	positive := 0
 	for _, c := range ds.Claims {
 		if c.Observation {
-			s.PositiveClaims++
-		} else {
-			s.NegativeClaims++
+			positive++
 		}
+	}
+	return summarizeShape(ds, positive)
+}
+
+// summarizeShape is Summarize with the positive-claim count already known:
+// everything else is read off ds's table sizes in O(1).
+func summarizeShape(ds *model.Dataset, positive int) Stats {
+	s := Stats{
+		Entities:       ds.NumEntities(),
+		Sources:        ds.NumSources(),
+		Facts:          ds.NumFacts(),
+		Claims:         ds.NumClaims(),
+		PositiveClaims: positive,
+		NegativeClaims: ds.NumClaims() - positive,
+		Labeled:        len(ds.Labels),
 	}
 	if s.Entities > 0 {
 		s.FactsPerEntityMean = float64(s.Facts) / float64(s.Entities)

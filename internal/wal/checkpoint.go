@@ -316,6 +316,33 @@ func (c Checkpoint) ReadTriples() (*model.RawDB, error) {
 	return db, nil
 }
 
+// CopyTriples streams the checkpoint's triples.csv byte-for-byte into w,
+// verifying its CRC32C against the manifest as it copies. The rows of a
+// memory-backed corpus are append-only, so a later checkpoint's
+// triples.csv is this file plus the CSV of the rows ingested since: the
+// caller appends those after CopyTriples returns. On a checksum mismatch
+// the bytes already written are corrupt and the caller must discard them
+// (Store.Write does, when its triples writer fails).
+func (c Checkpoint) CopyTriples(w io.Writer) error {
+	if c.Manifest.TriplesCRC == 0 {
+		return fmt.Errorf("wal: checkpoint %d has no triples.csv", c.Manifest.Seq)
+	}
+	f, err := os.Open(filepath.Join(c.Dir, triplesName))
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	defer f.Close()
+	h := crc32.New(castagnoli)
+	if _, err := io.Copy(io.MultiWriter(w, h), f); err != nil {
+		return fmt.Errorf("wal: copying checkpoint %d triples: %w", c.Manifest.Seq, err)
+	}
+	if crc := h.Sum32(); crc != c.Manifest.TriplesCRC {
+		return fmt.Errorf("wal: checkpoint %d: triples CRC mismatch (have %08x, manifest %08x)",
+			c.Manifest.Seq, crc, c.Manifest.TriplesCRC)
+	}
+	return nil
+}
+
 // ReadQuality loads and CRC-verifies the checkpoint's source-quality table.
 func (c Checkpoint) ReadQuality() ([]model.SourceQuality, error) {
 	q, crc, err := readCRC(filepath.Join(c.Dir, qualityName), func(r io.Reader) ([]model.SourceQuality, error) {
