@@ -641,44 +641,6 @@ func TestClusterFaultInjection(t *testing.T) {
 	}
 }
 
-// TestStatsMergeRulesCoverLiveStats pins the rule table to the serve
-// layer's actual /stats payload: every field a live primary emits must
-// have a merge rule, and every rule must correspond to an emitted field.
-// Adding a /stats counter without deciding its cluster semantics fails
-// here (and MergeStats itself errors at runtime).
-func TestStatsMergeRulesCoverLiveStats(t *testing.T) {
-	srvURL := newReferenceServer(t, clusterServeConfig(serve.RefitFull))
-	corpus := clusterCorpus(t)
-	mustIngest(t, srvURL, positiveClaimRows(corpus.Dataset))
-	mustRefit(t, srvURL)
-
-	var stats map[string]any
-	getJSON(t, srvURL+"/stats", &stats)
-	live := make(map[string]bool, len(stats))
-	for f := range stats {
-		live[f] = true
-	}
-	ruled := make(map[string]bool)
-	for _, f := range StatsMergeRuleNames() {
-		ruled[f] = true
-	}
-	for f := range live {
-		if !ruled[f] {
-			t.Errorf("/stats field %q has no cluster merge rule", f)
-		}
-	}
-	for f := range ruled {
-		if !live[f] {
-			t.Errorf("merge rule for %q, but a live primary emits no such /stats field", f)
-		}
-	}
-
-	// The merged form of a real payload must round-trip MergeStats.
-	if _, err := MergeStats([]map[string]any{stats, stats}, -1); err != nil {
-		t.Fatalf("MergeStats rejects a live /stats payload: %v", err)
-	}
-}
-
 // TestRouterScatterParams exercises the query-parameter contract of the
 // scatter path on a live 2-partition cluster: topk and limit are global
 // (post-merge), filters pass through, cursors are rejected, aggregation

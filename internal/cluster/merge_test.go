@@ -1,14 +1,22 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"reflect"
-	"strings"
 	"testing"
 
 	"latenttruth/internal/core"
 	"latenttruth/internal/model"
+	"latenttruth/internal/obs"
 	"latenttruth/internal/serve"
 	"latenttruth/internal/shard"
+	"latenttruth/internal/store"
+	"latenttruth/internal/wal"
 )
 
 var testPriors = core.Priors{FP: 1, TN: 9, TP: 9, FN: 1, True: 1, Fls: 1}
@@ -95,113 +103,151 @@ func TestMergeQualityRejectsConfigDrift(t *testing.T) {
 	}
 }
 
-// TestStatsMergeRules enumerates EVERY /stats field with explicit merged
-// expectations over two synthetic partitions, so each rule is asserted by
-// value — a field silently switched to the wrong rule fails here.
-func TestStatsMergeRules(t *testing.T) {
-	p0 := map[string]any{
-		"ready": true, "seq": 5.0, "mode": "full", "policy": "dirty",
-		"pending": 2.0, "ingested_total": 100.0, "refits": 5.0,
-		"full_refits": 2.0, "dirty_refits": 3.0, "last_refit_ms": 120.0,
-		"freshness_ms": 40.0, "dirty_entities": 7.0, "uptime_s": 400.0,
-		"encode_failures": 1.0, "entities": 30.0, "sources": 3.0,
-		"facts": 90.0, "claims": 300.0, "positive_claims": 200.0,
-		"negative_claims": 100.0, "labeled": 10.0,
-	}
-	p1 := map[string]any{
-		"ready": true, "seq": 7.0, "mode": "dirty", "policy": "dirty",
-		"pending": 1.0, "ingested_total": 80.0, "refits": 7.0,
-		"full_refits": 3.0, "dirty_refits": 4.0, "last_refit_ms": 90.0,
-		"freshness_ms": 55.0, "dirty_entities": 2.0, "uptime_s": 350.0,
-		"encode_failures": 0.0, "entities": 25.0, "sources": 3.0,
-		"facts": 70.0, "claims": 250.0, "positive_claims": 180.0,
-		"negative_claims": 70.0, "labeled": 8.0,
-	}
-	merged, err := MergeStats([]map[string]any{p0, p1}, 4)
+// renderStats renders /stats from an exposition, decoded as JSON the way
+// a client sees it.
+func renderStats(t *testing.T, expo []byte) map[string]any {
+	t.Helper()
+	fams, err := obs.ParseExposition(bytes.NewReader(expo))
 	if err != nil {
 		t.Fatal(err)
 	}
+	b, err := json.Marshal(serve.RenderStats(fams))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out map[string]any
+	if err := json.Unmarshal(b, &out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// mergedStats renders /stats from the merge of expos, as the router does
+// before it swaps in the sources union.
+func mergedStats(t *testing.T, expos ...[]byte) map[string]any {
+	t.Helper()
+	merged, err := obs.Merge(expos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return renderStats(t, merged)
+}
+
+// exposition is the server's GET /metrics body.
+func exposition(t *testing.T, s *serve.Server) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.Registry().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestStatsMergeFieldByField renders /stats from the merge of two live
+// partitions' expositions and asserts every field by value against the
+// partitions' own renderings: ready is an AND, seq and uptime take the
+// min, freshness and last refit time the max, mode, policy, version and
+// commit read "mixed" exactly when the partitions disagree, sources falls
+// back to the max (the router swaps in the union of quality names when
+// every partition serves one), and every other count sums — in the
+// storage block too, whose kind is the common value or "mixed".
+func TestStatsMergeFieldByField(t *testing.T) {
+	corpus := clusterCorpus(t)
+	batches := chunkRows(positiveClaimRows(corpus.Dataset), 4)
+	cfg1 := clusterServeConfig(serve.RefitDirty)
+	cfg1.Storage = store.StorageSegments
+	cfg1.Durability = serve.Durability{DataDir: t.TempDir(), Fsync: wal.SyncNever}
+	var parts []*serve.Server
+	for _, cfg := range []serve.Config{clusterServeConfig(serve.RefitFull), cfg1, clusterServeConfig(serve.RefitFull)} {
+		s, err := serve.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		parts = append(parts, s)
+	}
+	ingest := func(s *serve.Server, rows []model.Row) {
+		if _, err := s.Ingest(rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refit := func(s *serve.Server) {
+		if _, err := s.Refit(""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Partition 0: one full refit, then a pending batch. Partition 1: a
+	// full anchor and a dirty refit on the segment backend, then a scoped
+	// claims read that moves its segment scan counters. Partition 2 never
+	// refits.
+	ingest(parts[0], batches[0])
+	refit(parts[0])
+	ingest(parts[0], batches[1])
+	ingest(parts[1], batches[2])
+	refit(parts[1])
+	ingest(parts[1], batches[3])
+	refit(parts[1])
+	parts[1].Handler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet,
+		"/claims?entity="+url.QueryEscape(batches[3][0].Entity), nil))
+
+	e0 := exposition(t, parts[0])
+	// Partition 1 runs another build: its version differs, its commit not.
+	e1 := bytes.Replace(exposition(t, parts[1]),
+		[]byte(`version="`+obs.Version+`"`), []byte(`version="`+obs.Version+`-next"`), 1)
+	p0, p1 := renderStats(t, e0), renderStats(t, e1)
+	s0, s1 := p0["storage"].(map[string]any), p1["storage"].(map[string]any)
+	if p0["mode"] == p1["mode"] || p0["policy"] == p1["policy"] || p0["version"] == p1["version"] ||
+		p0["seq"] == p1["seq"] || s0["kind"] == s1["kind"] || s1["segments_scanned"].(float64) == 0 {
+		t.Fatalf("partitions too alike to exercise the rules:\n%v\n%v", p0, p1)
+	}
+
+	num := func(m map[string]any, f string) float64 { return m[f].(float64) }
 	want := map[string]any{
-		"ready":           true,    // AND: every partition ready
-		"seq":             5.0,     // MIN: the refit round all partitions reached
-		"mode":            "mixed", // COMMON: partitions disagree
-		"policy":          "dirty", // COMMON: partitions agree
-		"pending":         3.0,     // SUM
-		"ingested_total":  180.0,   // SUM
-		"refits":          12.0,    // SUM
-		"full_refits":     5.0,     // SUM
-		"dirty_refits":    7.0,     // SUM
-		"last_refit_ms":   120.0,   // MAX: slowest refit anywhere
-		"freshness_ms":    55.0,    // MAX: worst staleness bound anywhere
-		"dirty_entities":  9.0,     // SUM
-		"uptime_s":        350.0,   // MIN: youngest member bounds cluster uptime
-		"encode_failures": 1.0,     // SUM
-		"entities":        55.0,    // SUM: entities are partition-disjoint
-		"sources":         4.0,     // UNION: sources span partitions (supplied)
-		"facts":           160.0,   // SUM
-		"claims":          550.0,   // SUM
-		"positive_claims": 380.0,   // SUM
-		"negative_claims": 170.0,   // SUM
-		"labeled":         18.0,    // SUM
+		"ready":         true,
+		"seq":           math.Min(num(p0, "seq"), num(p1, "seq")),
+		"uptime_s":      math.Min(num(p0, "uptime_s"), num(p1, "uptime_s")),
+		"freshness_ms":  math.Max(num(p0, "freshness_ms"), num(p1, "freshness_ms")),
+		"last_refit_ms": math.Max(num(p0, "last_refit_ms"), num(p1, "last_refit_ms")),
+		"mode":          "mixed",
+		"policy":        "mixed",
+		"version":       "mixed",
+		"commit":        obs.Commit,
+		"sources":       math.Max(num(p0, "sources"), num(p1, "sources")),
 	}
-	if !reflect.DeepEqual(merged, want) {
-		for f, w := range want {
-			if got, ok := merged[f]; !ok || !reflect.DeepEqual(got, w) {
-				t.Errorf("field %q: merged %v, want %v", f, got, w)
-			}
+	storage := map[string]any{"kind": "mixed"}
+	for f := range s0 {
+		if _, ok := storage[f]; !ok {
+			storage[f] = num(s0, f) + num(s1, f)
 		}
-		for f := range merged {
-			if _, ok := want[f]; !ok {
-				t.Errorf("unexpected merged field %q", f)
-			}
+	}
+	want["storage"] = storage
+	for f := range p0 {
+		if _, ok := want[f]; !ok {
+			want[f] = num(p0, f) + num(p1, f)
 		}
-		t.FailNow()
 	}
-
-	// One partition not ready flips the cluster floor.
-	p1["ready"] = false
-	merged, err = MergeStats([]map[string]any{p0, p1}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged["ready"] != false {
-		t.Fatal("cluster must not be ready when any partition is not")
-	}
-
-	// Unknown sources union falls back to the per-partition max.
-	delete(p1, "ready")
-	p1["ready"] = true
-	merged, err = MergeStats([]map[string]any{p0, p1}, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged["sources"] != 3.0 {
-		t.Fatalf("sources fallback %v, want max 3", merged["sources"])
-	}
-}
-
-// TestStatsMergeRejectsUnknownField is the no-silent-default guard: a
-// field serve starts emitting without a rule entry errors loudly.
-func TestStatsMergeRejectsUnknownField(t *testing.T) {
-	_, err := MergeStats([]map[string]any{{"brand_new_counter": 1.0}}, -1)
-	if err == nil {
-		t.Fatal("expected an error for a field with no merge rule")
-	}
-	if !strings.Contains(err.Error(), "brand_new_counter") {
-		t.Fatalf("error should name the field: %v", err)
-	}
-}
-
-// TestStatsMergeRejectsWrongTypes: rules are typed; a partition sending a
-// mistyped field errors instead of being coerced.
-func TestStatsMergeRejectsWrongTypes(t *testing.T) {
-	for field, v := range map[string]any{
-		"ready":  "yes",  // ruleAnd wants bool
-		"mode":   1.0,    // ruleCommon wants string
-		"claims": "many", // ruleSum wants number
-	} {
-		if _, err := MergeStats([]map[string]any{{field: v}}, -1); err == nil {
-			t.Fatalf("field %q with %T value must error", field, v)
+	got := mergedStats(t, e0, e1)
+	for f, w := range want {
+		if !reflect.DeepEqual(got[f], w) {
+			t.Errorf("merged %q = %v, want %v (partitions %v and %v)", f, got[f], w, p0[f], p1[f])
 		}
+	}
+	for f := range got {
+		if _, ok := want[f]; !ok {
+			t.Errorf("merged /stats has unexpected field %q", f)
+		}
+	}
+	for _, f := range []string{"pending", "ingested_total", "refits", "full_refits", "dirty_refits", "dirty_entities", "claims"} {
+		if num(p0, f) == 0 && num(p1, f) == 0 {
+			t.Errorf("%q is zero on both partitions; its sum is untested", f)
+		}
+	}
+
+	// A partition with no snapshot yet makes the cluster not ready and
+	// contributes no mode; agreeing labels keep their common value.
+	got = mergedStats(t, e0, exposition(t, parts[2]))
+	if got["ready"] != false || got["mode"] != p0["mode"] || got["policy"] != p0["policy"] ||
+		got["version"] != p0["version"] || got["storage"].(map[string]any)["kind"] != s0["kind"] {
+		t.Errorf("merge with an unfitted partition: %v", got)
 	}
 }

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 
@@ -50,94 +48,36 @@ func (m *routerMetrics) proxyError(partition int) {
 	m.partErrors.With(strconv.Itoa(partition)).Inc()
 }
 
-// gaugeMergeRules assigns every gauge family a partition exposes its
-// cross-partition merge rule, mirroring the statsMergeRules contract:
-// counters and histograms always sum (partitions are disjoint in work),
-// but a gauge's semantics decide between sum, max and min — and a gauge
-// family absent from this table fails the merged /metrics scrape loudly,
-// so adding a gauge to serve without deciding its cluster semantics is
-// an error surfaced by the first scrape (and by the coverage test),
-// never a silently wrong default.
-var gaugeMergeRules = map[string]obs.GaugeRule{
-	// One per build: summing the constant-1 children counts members per
-	// (version, commit), which is exactly what a rolling deploy shows.
-	"build_info": obs.GaugeSum,
-	// The youngest member bounds how long the cluster has been up.
-	"process_uptime_seconds": obs.GaugeMin,
-	// Backlogs and workloads add across disjoint partitions.
-	"pending_mutations":    obs.GaugeSum,
-	"refit_dirty_entities": obs.GaugeSum,
-	"http_in_flight":       obs.GaugeSum,
-	// Cluster floors and staleness/lag bounds, matching /stats semantics
-	// (seq is the refit round every partition has reached; freshness and
-	// follower lag are the worst case a cluster client must assume).
-	"snapshot_seq":                     obs.GaugeMin,
-	"refit_freshness_seconds":          obs.GaugeMax,
-	"replication_follower_lag_batches": obs.GaugeMax,
-	// Follower families, for scraping a replica fleet through the same
-	// merger: caught-up is an AND (min over 0/1), applied seq a head max.
-	"replica_caught_up":        obs.GaugeMin,
-	"replica_last_applied_seq": obs.GaugeMax,
-	// Storage shape: rows, segments and bytes add across disjoint
-	// partitions, same as the /stats storage block.
-	"storage_resident_rows": obs.GaugeSum,
-	"storage_disk_rows":     obs.GaugeSum,
-	"storage_segments":      obs.GaugeSum,
-	"storage_segment_bytes": obs.GaugeSum,
-}
-
-// GaugeMergeRuleNames returns the gauge families covered by the rule
-// table, for the coverage test that pins the table to serve's registry.
-func GaugeMergeRuleNames() []string {
-	names := make([]string, 0, len(gaugeMergeRules))
-	for n := range gaugeMergeRules {
-		names = append(names, n)
-	}
-	return names
-}
-
-// getRaw fetches path from partition p as raw bytes (the /metrics scrape
-// is text exposition, not JSON).
-func (rt *Router) getRaw(r *http.Request, p int, path string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, rt.cfg.Partitions[p]+path, nil)
-	if err != nil {
-		return nil, partitionError{partition: p, err: err}
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return nil, partitionError{partition: p, err: err}
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxClaimsBody))
-	if err != nil {
-		return nil, partitionError{partition: p, err: err}
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, partitionError{partition: p, status: resp.StatusCode,
-			err: fmt.Errorf("status %d scraping %s", resp.StatusCode, path)}
-	}
-	return body, nil
-}
-
-// handleMetrics serves the cluster-wide exposition: every partition's
-// /metrics scraped concurrently, merged per kind (counters and histogram
-// series sum; gauges follow gaugeMergeRules; histogram bucket ladders
-// union and re-bucket), followed by the router's own cluster_* and
-// router_http_* families. One scrape shows the whole cluster.
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
+// mergedMetrics scrapes every partition's /metrics concurrently and
+// merges them per kind: counters and histogram series sum, each gauge by
+// the rule its exposition carries, histogram bucket ladders union and
+// re-bucket. A failed scrape has already been written to w as the
+// partition's error; a failed merge as a 500.
+func (rt *Router) mergedMetrics(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	bodies := make([][]byte, rt.k())
 	err := rt.fanout(func(i int) error {
-		b, err := rt.getRaw(r, i, "/metrics")
+		b, err := rt.getRaw(r.Context(), i, "/metrics")
 		bodies[i] = b
 		return err
 	})
 	if err != nil {
 		rt.writePartitionError(w, firstPartitionError(err))
-		return
+		return nil, false
 	}
-	merged, err := obs.Merge(bodies, gaugeMergeRules)
+	merged, err := obs.Merge(bodies)
 	if err != nil {
 		rt.writeError(w, http.StatusInternalServerError, codeInternal, err)
+		return nil, false
+	}
+	return merged, true
+}
+
+// handleMetrics serves the cluster-wide exposition: the partitions'
+// merged /metrics followed by the router's own cluster_* and
+// router_http_* families. One scrape shows the whole cluster.
+func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	merged, ok := rt.mergedMetrics(w, r)
+	if !ok {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

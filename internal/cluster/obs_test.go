@@ -1,24 +1,18 @@
 package cluster
 
-// Observability coverage for the cluster layer: the gauge merge rule
-// table is pinned to the gauge families live processes actually expose
-// (the /metrics analogue of TestStatsMergeRulesCoverLiveStats), and the
-// router's merged GET /metrics is exercised on the in-process cluster
-// harness — valid exposition, counters summed, gauges merged by rule,
-// router families appended.
+// Observability coverage for the cluster layer: the router's merged GET
+// /metrics is exercised on the in-process cluster harness — valid
+// exposition, counters summed, gauges merged by rule, router families
+// appended.
 
 import (
 	"bytes"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"testing"
-	"time"
 
 	"latenttruth/internal/obs"
-	"latenttruth/internal/replica"
 	"latenttruth/internal/serve"
-	"latenttruth/internal/wal"
 )
 
 // scrapeProm fetches and parses url's Prometheus exposition.
@@ -56,65 +50,10 @@ func famSum(f *obs.ParsedFamily) float64 {
 	return sum
 }
 
-// TestGaugeMergeRulesCoverLiveMetrics pins the gauge rule table to the
-// gauge families live processes actually expose: a durable primary (the
-// richest serve registry — replication lag included) and a follower (the
-// replica_* families). Every live gauge family must have a merge rule,
-// and every rule must correspond to a family some live process emits.
-// Adding a gauge without deciding its cluster semantics fails here (and
-// the router's merged scrape errors loudly at runtime).
-func TestGaugeMergeRulesCoverLiveMetrics(t *testing.T) {
-	cfg := clusterServeConfig(serve.RefitFull)
-	cfg.Durability = serve.Durability{DataDir: t.TempDir(), Fsync: wal.SyncNever}
-	s, err := serve.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() { ts.Close(); s.Close() })
-
-	fcfg := clusterServeConfig(serve.RefitFull)
-	fcfg.Durability = serve.Durability{DataDir: t.TempDir(), Fsync: wal.SyncNever}
-	f, err := replica.Start(replica.Config{
-		Primary:      ts.URL,
-		Serve:        fcfg,
-		PollWait:     300 * time.Millisecond,
-		RetryBackoff: 50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fts := httptest.NewServer(f.Handler())
-	t.Cleanup(func() { fts.Close(); f.Close() })
-
-	live := make(map[string]bool)
-	for _, url := range []string{ts.URL + "/metrics", fts.URL + "/metrics"} {
-		for _, fam := range scrapeProm(t, url) {
-			if fam.Kind == obs.KindGauge {
-				live[fam.Name] = true
-			}
-		}
-	}
-	ruled := make(map[string]bool)
-	for _, name := range GaugeMergeRuleNames() {
-		ruled[name] = true
-	}
-	for name := range live {
-		if !ruled[name] {
-			t.Errorf("gauge family %q has no cluster merge rule (add it to gaugeMergeRules)", name)
-		}
-	}
-	for name := range ruled {
-		if !live[name] {
-			t.Errorf("merge rule for %q, but no live process exposes such a gauge family", name)
-		}
-	}
-}
-
 // TestClusterMetricsMergedExposition drives ingest and refits through the
 // router of a durable 2-partition cluster, then asserts the router's GET
 // /metrics: a parseable exposition whose counters are the sum of the
-// partitions', whose gauges follow the rule table, whose histograms keep
+// partitions', whose gauges follow their rules, whose histograms keep
 // the count == +Inf-bucket invariant, with the router's own families
 // appended.
 func TestClusterMetricsMergedExposition(t *testing.T) {

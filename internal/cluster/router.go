@@ -97,18 +97,20 @@ func (rt *Router) warnf(format string, args ...any) {
 //	                scatter-gather (rows sorted by entity, attribute)
 //	GET  /quality — merged cross-partition quality (Table 8 order)
 //	GET  /records — entity-scoped: proxied; full-table: scatter-gather
-//	GET  /stats   — field-wise merge per the documented rule table
+//	GET  /stats   — rendered from the merged /metrics families
 //	GET  /healthz — cluster liveness (ready iff every partition is)
 //	GET  /cluster — partition topology and per-partition health
 //	GET  /metrics — cluster-wide exposition: every partition's /metrics
 //	                merged by rule, plus the router's own families
 //	POST /refit   — fan out to every partition
 //
-// With a single partition the router degenerates to a reverse proxy:
-// every request is forwarded verbatim, so K=1 responses are
-// byte-identical to the primary's own. Cursor pagination is
-// per-partition state and does not survive a scatter; full-table reads
-// with a cursor are rejected with 400 (entity-scoped cursors proxy fine).
+// With a single partition the router degenerates to a reverse proxy for
+// claims, truth, quality, records and refits: those requests are
+// forwarded verbatim, so K=1 responses are byte-identical to the
+// primary's own (/stats is rendered at every K and adds the partition
+// count). Cursor pagination is per-partition state and does not survive
+// a scatter; full-table reads with a cursor are rejected with 400
+// (entity-scoped cursors proxy fine).
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /claims", rt.handleClaims)
@@ -222,25 +224,33 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, p int) {
 	}
 }
 
-// getJSON fetches path (with query) from partition p and decodes the JSON
-// response. Non-200 statuses become partitionErrors carrying the
-// partition's own error body.
-func (rt *Router) getJSON(ctx context.Context, p int, path string, v any) error {
+// getRaw fetches path (with query) from partition p. Non-200 statuses
+// become partitionErrors carrying the partition's own error body.
+func (rt *Router) getRaw(ctx context.Context, p int, path string) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rt.cfg.Partitions[p]+path, nil)
 	if err != nil {
-		return partitionError{partition: p, err: err}
+		return nil, partitionError{partition: p, err: err}
 	}
 	resp, err := rt.client.Do(req)
 	if err != nil {
-		return partitionError{partition: p, err: err}
+		return nil, partitionError{partition: p, err: err}
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, maxClaimsBody))
 	if err != nil {
-		return partitionError{partition: p, err: err}
+		return nil, partitionError{partition: p, err: err}
 	}
 	if resp.StatusCode != http.StatusOK {
-		return partitionError{partition: p, status: resp.StatusCode, err: fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(body))}
+		return nil, partitionError{partition: p, status: resp.StatusCode, err: fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(body))}
+	}
+	return body, nil
+}
+
+// getJSON fetches path from partition p and decodes its JSON response.
+func (rt *Router) getJSON(ctx context.Context, p int, path string, v any) error {
+	body, err := rt.getRaw(ctx, p, path)
+	if err != nil {
+		return err
 	}
 	if err := json.Unmarshal(body, v); err != nil {
 		return partitionError{partition: p, err: err}
@@ -711,24 +721,23 @@ func (rt *Router) handleRecords(w http.ResponseWriter, r *http.Request) {
 
 // --- stats / health / topology / refit ---
 
-// handleStats merges the partitions' /stats per the documented rule table.
-// The sources cardinality comes from the union of source names across the
-// partitions' quality bases when every partition serves one; otherwise it
-// falls back to the per-partition maximum (a lower bound).
+// handleStats renders the cluster's /stats from the partitions' merged
+// /metrics with serve.RenderStats — the one rendering a single server
+// uses — so every field combines by its family's merge rule. sources is
+// then replaced by the size of the union of the partitions' quality
+// source names when every partition serves a quality basis; otherwise it
+// keeps the merged per-partition maximum, a lower bound.
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	if rt.k() == 1 {
-		rt.proxy(w, r, 0)
+	merged, ok := rt.mergedMetrics(w, r)
+	if !ok {
 		return
 	}
-	parts := make([]map[string]any, rt.k())
-	err := rt.fanout(func(i int) error {
-		return rt.getJSON(r.Context(), i, "/stats", &parts[i])
-	})
+	fams, err := obs.ParseExposition(bytes.NewReader(merged))
 	if err != nil {
-		rt.writePartitionError(w, firstPartitionError(err))
+		rt.writeError(w, http.StatusInternalServerError, codeInternal, err)
 		return
 	}
-	sources := -1
+	st := serve.RenderStats(fams)
 	qparts := make([]serve.PartitionQuality, rt.k())
 	if err := rt.fanout(func(i int) error {
 		return rt.getJSON(r.Context(), i, "/partition/quality", &qparts[i])
@@ -739,15 +748,10 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 				union[name] = struct{}{}
 			}
 		}
-		sources = len(union)
+		st.Sources = len(union)
 	}
-	merged, err := MergeStats(parts, sources)
-	if err != nil {
-		rt.writeError(w, http.StatusInternalServerError, codeInternal, err)
-		return
-	}
-	merged["partitions"] = rt.k()
-	rt.writeJSON(w, http.StatusOK, merged)
+	st.Partitions = rt.k()
+	rt.writeJSON(w, http.StatusOK, st)
 }
 
 // partitionHealth is one partition's row in /healthz and /cluster.

@@ -1,6 +1,6 @@
 // Package obs is the serving stack's dependency-free observability layer:
-// a metrics registry, a Prometheus text exposition writer and parser, a
-// rule-table exposition merger for cluster views, a structured span
+// a metrics registry, a Prometheus text exposition writer and parser, an
+// exposition merger for cluster views, a structured span
 // facility for multi-phase operations, and a minimal leveled logger.
 //
 // The registry holds three metric kinds, all safe for concurrent use and
@@ -18,12 +18,15 @@
 // WritePrometheus renders the registry in the Prometheus text exposition
 // format (# HELP/# TYPE preambles, name{label="v"} samples, cumulative
 // _bucket/_sum/_count histogram series), families and children in sorted
-// order so output is deterministic. ParseExposition inverts it, and Merge
-// combines several expositions into a cluster-wide view: counters and
-// histogram series SUM, gauges follow an explicit per-name rule table
-// (SUM, MAX or MIN) and unknown gauge names are a loud error — the same
-// contract the /stats merge rules enforce, so adding a gauge without
-// deciding its aggregation is impossible.
+// order so output is deterministic. Every gauge is registered with its
+// cross-partition GaugeRule (SUM, MAX or MIN) as a required argument, and
+// the exposition carries it as a "# MERGE <family> <rule>" comment after
+// the # TYPE line, which format 0.0.4 scrapers ignore. ParseExposition
+// inverts the format, and Merge combines several expositions into a
+// cluster-wide view: counters and histogram series SUM, each gauge
+// follows the rule its exposition carries, and a gauge without a rule, or
+// whose rule differs between expositions, is a loud error naming it — so
+// a gauge cannot ship without a decided aggregation.
 //
 // Spans time multi-phase operations (a refit's drain → fit → publish):
 // StartSpan allocates a random id, Phase closes the running phase and

@@ -11,9 +11,9 @@ import (
 
 // WritePrometheus renders every family in the registry in the Prometheus
 // text exposition format (version 0.0.4): a # HELP and # TYPE preamble
-// per family, then one sample line per child, families sorted by name and
-// children by label values so output is deterministic under a stable
-// metric set.
+// per family (plus a # MERGE rule line for gauges), then one sample line
+// per child, families sorted by name and children by label values so
+// output is deterministic under a stable metric set.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.RLock()
 	names := make([]string, 0, len(r.families))
@@ -28,7 +28,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.RUnlock()
 
 	for _, f := range fams {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, escapeHelp(f.help), f.name, f.kind); err != nil {
+		if err := writePreamble(w, f.name, f.help, f.kind, f.rule); err != nil {
 			return err
 		}
 		if err := f.write(w); err != nil {
@@ -36,6 +36,18 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// writePreamble writes a family's # HELP and # TYPE lines and, for a
+// gauge, the # MERGE line naming its cross-partition rule. Format 0.0.4
+// tells scrapers to ignore comments they do not know, so the extra line
+// is invisible to a plain Prometheus scrape.
+func writePreamble(w io.Writer, name, help string, kind Kind, rule GaugeRule) error {
+	_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, escapeHelp(help), name, kind)
+	if err == nil && kind == KindGauge {
+		_, err = fmt.Fprintf(w, "# MERGE %s %s\n", name, rule)
+	}
+	return err
 }
 
 func (f *family) write(w io.Writer) error {

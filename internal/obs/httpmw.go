@@ -36,7 +36,7 @@ func NewHTTPMetrics(r *Registry, prefix string, logger *Logger, slow time.Durati
 			"Request latency in seconds, by route pattern.", nil, "route"),
 		bytes: r.CounterVec(prefix+"response_bytes_total",
 			"Response body bytes written, by route pattern.", "route"),
-		inFlight: r.Gauge(prefix+"in_flight", "Requests currently being served."),
+		inFlight: r.Gauge(prefix+"in_flight", "Requests currently being served.", GaugeSum),
 		slow:     slow,
 		logger:   logger,
 	}

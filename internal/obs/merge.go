@@ -8,49 +8,41 @@ import (
 	"strings"
 )
 
-// GaugeRule says how a gauge family aggregates across partitions. There
-// is no default: Merge refuses gauges absent from the rule table, so a
-// new gauge cannot ship without an explicit aggregation decision — the
-// same loud-on-unknown contract the /stats merge rules enforce.
-type GaugeRule int
+// GaugeRule says how a gauge family aggregates across partitions. Every
+// gauge is registered with one; the exposition carries it as a
+// "# MERGE <family> <rule>" comment after the family's # TYPE line, so
+// Merge reads each gauge's rule off the exposition itself and needs no
+// table of its own.
+type GaugeRule string
 
 const (
 	// GaugeSum adds the partitions' values (e.g. in-flight requests).
-	GaugeSum GaugeRule = iota
+	GaugeSum GaugeRule = "sum"
 	// GaugeMax keeps the worst/largest value (e.g. replication lag).
-	GaugeMax
+	GaugeMax GaugeRule = "max"
 	// GaugeMin keeps the smallest value (e.g. uptime: the youngest
 	// process bounds how long the whole fleet has been stable).
-	GaugeMin
+	GaugeMin GaugeRule = "min"
 )
 
-// String names the rule for error messages and docs.
-func (g GaugeRule) String() string {
-	switch g {
-	case GaugeSum:
-		return "sum"
-	case GaugeMax:
-		return "max"
-	case GaugeMin:
-		return "min"
-	}
-	return fmt.Sprintf("GaugeRule(%d)", int(g))
-}
+func (g GaugeRule) valid() bool { return g == GaugeSum || g == GaugeMax || g == GaugeMin }
 
 // Merge combines several Prometheus text expositions into one cluster
-// view: counter samples and histogram series SUM per label set, gauges
-// aggregate per label set under the family's entry in gaugeRules, and a
-// gauge family with no entry is an error. Histogram bucket ladders are
-// merged over the union of bounds; a source lacking a bound contributes
-// its cumulative count at its own next-lower bound (a documented lower
-// bound on the true value — exact in practice, since every partition
-// runs the same binary and therefore the same ladder). Families need not
+// view: counter samples and histogram series SUM per label set, and
+// gauges aggregate per label set under the rule their exposition carries.
+// A gauge with no rule, or whose rule differs between expositions, is an
+// error naming the family. Histogram bucket ladders are merged over the
+// union of bounds; a source lacking a bound contributes its cumulative
+// count at its own next-lower bound (a documented lower bound on the true
+// value — exact in practice, since every partition runs the same binary
+// and therefore the same ladder). Families need not
 // appear in every exposition, but a name must keep one kind everywhere.
-func Merge(expositions [][]byte, gaugeRules map[string]GaugeRule) ([]byte, error) {
+func Merge(expositions [][]byte) ([]byte, error) {
 	type mergedFam struct {
 		name    string
 		help    string
 		kind    Kind
+		rule    GaugeRule
 		sets    map[string]*labelSet // key: canonical labels sans le
 		setKeys []string
 	}
@@ -65,17 +57,18 @@ func Merge(expositions [][]byte, gaugeRules map[string]GaugeRule) ([]byte, error
 		for _, f := range fams {
 			mf := byName[f.Name]
 			if mf == nil {
-				mf = &mergedFam{name: f.Name, help: f.Help, kind: f.Kind, sets: make(map[string]*labelSet)}
+				mf = &mergedFam{name: f.Name, help: f.Help, kind: f.Kind, rule: f.Rule, sets: make(map[string]*labelSet)}
 				byName[f.Name] = mf
 				order = append(order, f.Name)
 			}
 			if f.Kind != mf.kind {
 				return nil, fmt.Errorf("obs: merge: family %s is %s in exposition %d, %s elsewhere", f.Name, f.Kind, pi, mf.kind)
 			}
-			if mf.kind == KindGauge {
-				if _, ok := gaugeRules[f.Name]; !ok {
-					return nil, fmt.Errorf("obs: merge: gauge %s has no merge rule — add it to the rule table", f.Name)
-				}
+			if mf.kind == KindGauge && f.Rule == "" {
+				return nil, fmt.Errorf("obs: merge: gauge %s in exposition %d has no # MERGE rule", f.Name, pi)
+			}
+			if f.Rule != mf.rule {
+				return nil, fmt.Errorf("obs: merge: gauge %s merges by %s in exposition %d, by %s elsewhere", f.Name, f.Rule, pi, mf.rule)
 			}
 			for _, s := range f.Samples {
 				key, labels, le, hasLe := splitLe(s.Labels)
@@ -98,7 +91,7 @@ func Merge(expositions [][]byte, gaugeRules map[string]GaugeRule) ([]byte, error
 				case mf.kind == KindCounter:
 					ls.sum += s.Value
 				default: // gauge
-					ls.aggregate(gaugeRules[f.Name], s.Value)
+					ls.aggregate(mf.rule, s.Value)
 				}
 			}
 		}
@@ -108,7 +101,7 @@ func Merge(expositions [][]byte, gaugeRules map[string]GaugeRule) ([]byte, error
 	sort.Strings(order)
 	for _, name := range order {
 		mf := byName[name]
-		fmt.Fprintf(&out, "# HELP %s %s\n# TYPE %s %s\n", mf.name, escapeHelp(mf.help), mf.name, mf.kind)
+		writePreamble(&out, mf.name, mf.help, mf.kind, mf.rule)
 		sort.Strings(mf.setKeys)
 		for _, key := range mf.setKeys {
 			ls := mf.sets[key]

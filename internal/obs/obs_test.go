@@ -111,8 +111,9 @@ func TestWritePrometheusGolden(t *testing.T) {
 	v := r.CounterVec("errors_total", "Errors by route.", "route")
 	v.With("/truth").Add(2)
 	v.With("/qual\"ity\n").Inc()
-	r.Gauge("in_flight", "In-flight requests.").Set(1.5)
-	r.GaugeFunc("uptime_seconds", "Uptime.", func() float64 { return 42 })
+	r.Gauge("in_flight", "In-flight requests.", GaugeSum).Set(1.5)
+	r.GaugeFunc("uptime_seconds", "Uptime.", GaugeMin, func() float64 { return 42 })
+	r.CounterFunc("lifetime_total", "Lifetime.", func() float64 { return 9 })
 	h := r.Histogram("latency_seconds", "Latency.", []float64{0.1, 1})
 	h.Observe(0.05)
 	h.Observe(0.5)
@@ -128,6 +129,7 @@ errors_total{route="/qual\"ity\n"} 1
 errors_total{route="/truth"} 2
 # HELP in_flight In-flight requests.
 # TYPE in_flight gauge
+# MERGE in_flight sum
 in_flight 1.5
 # HELP latency_seconds Latency.
 # TYPE latency_seconds histogram
@@ -136,11 +138,15 @@ latency_seconds_bucket{le="1"} 2
 latency_seconds_bucket{le="+Inf"} 3
 latency_seconds_sum 5.55
 latency_seconds_count 3
+# HELP lifetime_total Lifetime.
+# TYPE lifetime_total counter
+lifetime_total 9
 # HELP requests_total Requests served.
 # TYPE requests_total counter
 requests_total 3
 # HELP uptime_seconds Uptime.
 # TYPE uptime_seconds gauge
+# MERGE uptime_seconds min
 uptime_seconds 42
 `
 	if got := buf.String(); got != want {
@@ -151,7 +157,7 @@ uptime_seconds 42
 func TestParseRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a_total", "A.").Add(7)
-	r.GaugeVec("lag", "Lag.", "follower").With("f 1").Set(12)
+	r.GaugeVec("lag", "Lag.", GaugeMax, "follower").With("f 1").Set(12)
 	r.Histogram("h_seconds", "H.", []float64{0.5}).Observe(0.25)
 
 	var buf bytes.Buffer
@@ -170,7 +176,7 @@ func TestParseRoundTrip(t *testing.T) {
 		t.Fatalf("a_total parsed wrong: %+v", byName["a_total"])
 	}
 	lag := byName["lag"]
-	if lag == nil || lag.Kind != KindGauge || len(lag.Samples) != 1 {
+	if lag == nil || lag.Kind != KindGauge || lag.Rule != GaugeMax || len(lag.Samples) != 1 {
 		t.Fatalf("lag parsed wrong: %+v", lag)
 	}
 	if ls := lag.Samples[0].Labels; len(ls) != 1 || ls[0] != (Label{"follower", "f 1"}) {
@@ -213,7 +219,7 @@ func TestMergeCountersAndHistogramsSum(t *testing.T) {
 		h := r.Histogram("lat_seconds", "L.", []float64{0.1, 1})
 		h.Observe(2)
 	})
-	out, err := Merge([][]byte{a, b}, nil)
+	out, err := Merge([][]byte{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,33 +242,79 @@ func TestMergeCountersAndHistogramsSum(t *testing.T) {
 
 func TestMergeGaugeRules(t *testing.T) {
 	a := expose(func(r *Registry) {
-		r.Gauge("in_flight", "I.").Set(2)
-		r.Gauge("uptime_seconds", "U.").Set(100)
-		r.Gauge("lag", "L.").Set(5)
+		r.Gauge("in_flight", "I.", GaugeSum).Set(2)
+		r.Gauge("uptime_seconds", "U.", GaugeMin).Set(100)
+		r.Gauge("lag", "L.", GaugeMax).Set(5)
 	})
 	b := expose(func(r *Registry) {
-		r.Gauge("in_flight", "I.").Set(3)
-		r.Gauge("uptime_seconds", "U.").Set(40)
-		r.Gauge("lag", "L.").Set(9)
+		r.Gauge("in_flight", "I.", GaugeSum).Set(3)
+		r.Gauge("uptime_seconds", "U.", GaugeMin).Set(40)
+		r.Gauge("lag", "L.", GaugeMax).Set(9)
 	})
-	rules := map[string]GaugeRule{"in_flight": GaugeSum, "uptime_seconds": GaugeMin, "lag": GaugeMax}
-	out, err := Merge([][]byte{a, b}, rules)
+	out, err := Merge([][]byte{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
 	text := string(out)
-	for _, want := range []string{"in_flight 5", "uptime_seconds 40", "lag 9"} {
+	for _, want := range []string{"in_flight 5", "uptime_seconds 40", "lag 9", "# MERGE lag max"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("merged output missing %q:\n%s", want, text)
 		}
 	}
 }
 
+// A gauge whose exposition carries no # MERGE line cannot be merged, and
+// neither can one whose partitions disagree on its rule; both errors name
+// the family.
 func TestMergeUnknownGaugeErrors(t *testing.T) {
-	a := expose(func(r *Registry) { r.Gauge("mystery", "M.").Set(1) })
-	_, err := Merge([][]byte{a}, map[string]GaugeRule{})
+	a := []byte("# HELP mystery M.\n# TYPE mystery gauge\nmystery 1\n")
+	_, err := Merge([][]byte{a})
 	if err == nil || !strings.Contains(err.Error(), "mystery") {
-		t.Fatalf("want loud unknown-gauge error naming the family, got %v", err)
+		t.Fatalf("want loud no-rule error naming the family, got %v", err)
+	}
+	b := expose(func(r *Registry) { r.Gauge("mystery", "M.", GaugeSum).Set(1) })
+	c := expose(func(r *Registry) { r.Gauge("mystery", "M.", GaugeMax).Set(1) })
+	_, err = Merge([][]byte{b, c})
+	if err == nil || !strings.Contains(err.Error(), "mystery") {
+		t.Fatalf("want loud rule-conflict error naming the family, got %v", err)
+	}
+}
+
+// Registering a gauge with an empty or unknown rule is a wiring bug.
+func TestGaugeRequiresValidRule(t *testing.T) {
+	for _, rule := range []GaugeRule{"", "avg"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Gauge with rule %q did not panic", rule)
+				}
+			}()
+			NewRegistry().Gauge("g", "G.", rule)
+		}()
+	}
+}
+
+// TestParseRejectsMalformedPreambles: a family needs a TYPE line (a lone
+// HELP used to parse into a kindless family whose merge output did not
+// reparse), at most one, and a MERGE line only directly under a gauge's
+// preamble with a known rule.
+func TestParseRejectsMalformedPreambles(t *testing.T) {
+	for name, text := range map[string]string{
+		"help without type":   "# HELP 0",
+		"sample without type": "# HELP x X.\nx 1\n",
+		"second type":         "# TYPE x counter\n# TYPE x gauge\n",
+		"merge on counter":    "# TYPE x counter\n# MERGE x sum\n",
+		"merge after sample":  "# TYPE x gauge\nx 1\n# MERGE x sum\n",
+		"merge for other":     "# TYPE x gauge\n# MERGE y sum\n",
+		"unknown rule":        "# TYPE x gauge\n# MERGE x avg\n",
+		"second merge":        "# TYPE x gauge\n# MERGE x sum\n# MERGE x sum\n",
+	} {
+		if _, err := ParseExposition(strings.NewReader(text)); err == nil {
+			t.Errorf("%s: %q parsed without error", name, text)
+		}
+	}
+	if _, err := ParseExposition(strings.NewReader("# HELP 0")); err == nil || !strings.Contains(err.Error(), "0") {
+		t.Errorf("a lone HELP must fail naming its family, got %v", err)
 	}
 }
 
@@ -278,7 +330,7 @@ func TestMergeUnionRebucketLowerBound(t *testing.T) {
 		h := r.Histogram("m_seconds", "M.", []float64{2, 4})
 		h.Observe(1.5) // ≤2
 	})
-	out, err := Merge([][]byte{a, b}, nil)
+	out, err := Merge([][]byte{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,8 +350,8 @@ func TestMergeUnionRebucketLowerBound(t *testing.T) {
 
 func TestMergeKindConflictErrors(t *testing.T) {
 	a := expose(func(r *Registry) { r.Counter("x", "X.").Inc() })
-	b := expose(func(r *Registry) { r.Gauge("x", "X.").Set(1) })
-	if _, err := Merge([][]byte{a, b}, map[string]GaugeRule{"x": GaugeSum}); err == nil {
+	b := expose(func(r *Registry) { r.Gauge("x", "X.", GaugeSum).Set(1) })
+	if _, err := Merge([][]byte{a, b}); err == nil {
 		t.Fatal("want kind-conflict error, got nil")
 	}
 }
@@ -310,9 +362,9 @@ func TestMergeOutputReparses(t *testing.T) {
 	a := expose(func(r *Registry) {
 		r.Counter("c_total", "C.").Inc()
 		r.Histogram("h_seconds", "H.", []float64{1}).Observe(0.5)
-		r.Gauge("g", "G.").Set(2)
+		r.Gauge("g", "G.", GaugeMax).Set(2)
 	})
-	out, err := Merge([][]byte{a, a}, map[string]GaugeRule{"g": GaugeMax})
+	out, err := Merge([][]byte{a, a})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ type ParsedFamily struct {
 	Name    string
 	Help    string
 	Kind    Kind
+	Rule    GaugeRule // gauges: the rule from the # MERGE line, if any
 	Samples []ParsedSample
 }
 
@@ -30,7 +31,9 @@ type Label struct{ Name, Value string }
 // ParseExposition reads Prometheus text exposition format back into
 // families, in source order. Samples must follow their family's # TYPE
 // line — the shape WritePrometheus produces and the scrape merge needs;
-// an untyped or out-of-order sample is an error.
+// an untyped family or an out-of-order sample is an error. A gauge's
+// # MERGE line must follow its # TYPE line, before any sample; other
+// comments are skipped.
 func ParseExposition(r io.Reader) ([]*ParsedFamily, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
@@ -69,6 +72,9 @@ func ParseExposition(r io.Reader) ([]*ParsedFamily, error) {
 				byName[name] = f
 				fams = append(fams, f)
 			}
+			if f.Kind != "" {
+				return nil, fmt.Errorf("obs: line %d: second TYPE line for %s", lineNo, name)
+			}
 			switch Kind(kind) {
 			case KindCounter, KindGauge, KindHistogram:
 				f.Kind = Kind(kind)
@@ -76,6 +82,16 @@ func ParseExposition(r io.Reader) ([]*ParsedFamily, error) {
 				return nil, fmt.Errorf("obs: line %d: unsupported metric type %q for %s", lineNo, kind, name)
 			}
 			cur = f
+			continue
+		}
+		if strings.HasPrefix(line, "# MERGE ") {
+			name, rule, _ := strings.Cut(strings.TrimPrefix(line, "# MERGE "), " ")
+			if cur == nil || cur.Name != name || cur.Kind != KindGauge || cur.Rule != "" || len(cur.Samples) > 0 {
+				return nil, fmt.Errorf("obs: line %d: MERGE line for %s does not follow its gauge's TYPE line", lineNo, name)
+			}
+			if cur.Rule = GaugeRule(rule); !cur.Rule.valid() {
+				return nil, fmt.Errorf("obs: line %d: unknown merge rule %q for %s", lineNo, rule, name)
+			}
 			continue
 		}
 		if strings.HasPrefix(line, "#") {
@@ -94,6 +110,11 @@ func ParseExposition(r io.Reader) ([]*ParsedFamily, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
+	}
+	for _, f := range fams {
+		if f.Kind == "" {
+			return nil, fmt.Errorf("obs: family %s has no TYPE line", f.Name)
+		}
 	}
 	return fams, nil
 }

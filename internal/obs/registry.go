@@ -30,8 +30,8 @@ var (
 
 // Registry is a set of metric families. All registration methods are
 // idempotent per name: asking for an existing family returns the existing
-// metric, and asking with a conflicting kind or label set panics (a wiring
-// bug, not a runtime condition).
+// metric, and asking with a conflicting kind, label set or merge rule
+// panics (a wiring bug, not a runtime condition).
 type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
@@ -42,17 +42,18 @@ type family struct {
 	name   string
 	help   string
 	kind   Kind
-	labels []string // label names; empty for scalar families
+	labels []string  // label names; empty for scalar families
+	rule   GaugeRule // gauge families only: the cross-partition merge
 
 	mu       sync.RWMutex
 	children map[string]metric // key: joined label values
 	order    []string          // insertion order of keys; sorted at exposition
 
-	collect func() []Sample // gauge families may be scrape-time functions
+	collect func() []Sample // counter and gauge families may be scrape-time functions
 	buckets []float64       // histogram families share one bucket ladder
 }
 
-// Sample is one scrape-time value from a function-backed gauge family.
+// Sample is one scrape-time value from a function-backed family.
 type Sample struct {
 	LabelValues []string
 	Value       float64
@@ -66,20 +67,30 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-func (r *Registry) getOrCreate(name, help string, kind Kind, labels []string, buckets []float64) *family {
+func (r *Registry) getOrCreate(name, help string, kind Kind, rule GaugeRule, labels []string, buckets []float64) *family {
+	if kind == KindGauge && !rule.valid() {
+		panic(fmt.Sprintf("obs: gauge %s registered with merge rule %q", name, rule))
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f, ok := r.families[name]; ok {
-		if f.kind != kind || strings.Join(f.labels, ",") != strings.Join(labels, ",") {
-			panic(fmt.Sprintf("obs: metric %s re-registered as %s%v, was %s%v",
-				name, kind, labels, f.kind, f.labels))
+		if f.kind != kind || f.rule != rule || strings.Join(f.labels, ",") != strings.Join(labels, ",") {
+			panic(fmt.Sprintf("obs: metric %s re-registered as %s%v %s, was %s%v %s",
+				name, kind, labels, rule, f.kind, f.labels, f.rule))
 		}
 		return f
 	}
-	f := &family{name: name, help: help, kind: kind, labels: labels,
+	f := &family{name: name, help: help, kind: kind, rule: rule, labels: labels,
 		children: make(map[string]metric), buckets: buckets}
 	r.families[name] = f
 	return f
+}
+
+// setCollect makes the family a scrape-time function.
+func (f *family) setCollect(fn func() []Sample) {
+	f.mu.Lock()
+	f.collect = fn
+	f.mu.Unlock()
 }
 
 // child returns the metric for the given label values, creating it via
@@ -171,13 +182,24 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Counter registers (or fetches) an unlabeled counter.
 func (r *Registry) Counter(name, help string) *Counter {
-	f := r.getOrCreate(name, help, KindCounter, nil, nil)
+	f := r.getOrCreate(name, help, KindCounter, "", nil, nil)
 	return f.child(nil, func() metric { return &Counter{} }).(*Counter)
+}
+
+// CounterFunc registers a counter whose value is read at scrape time from
+// a count the caller already keeps.
+func (r *Registry) CounterFunc(name, help string, fn func() float64) {
+	r.getOrCreate(name, help, KindCounter, "", nil, nil).setCollect(scalar(fn))
+}
+
+// scalar adapts a single-value function to a collect function.
+func scalar(fn func() float64) func() []Sample {
+	return func() []Sample { return []Sample{{Value: fn()}} }
 }
 
 // CounterVec registers (or fetches) a labeled counter family.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	return &CounterVec{f: r.getOrCreate(name, help, KindCounter, labels, nil)}
+	return &CounterVec{f: r.getOrCreate(name, help, KindCounter, "", labels, nil)}
 }
 
 // CounterVec is a counter family keyed by label values.
@@ -188,15 +210,17 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return v.f.child(values, func() metric { return &Counter{} }).(*Counter)
 }
 
-// Gauge registers (or fetches) an unlabeled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.getOrCreate(name, help, KindGauge, nil, nil)
+// Gauge registers (or fetches) an unlabeled gauge that merges across
+// partitions under rule.
+func (r *Registry) Gauge(name, help string, rule GaugeRule) *Gauge {
+	f := r.getOrCreate(name, help, KindGauge, rule, nil, nil)
 	return f.child(nil, func() metric { return &Gauge{} }).(*Gauge)
 }
 
-// GaugeVec registers (or fetches) a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{f: r.getOrCreate(name, help, KindGauge, labels, nil)}
+// GaugeVec registers (or fetches) a labeled gauge family that merges
+// across partitions under rule.
+func (r *Registry) GaugeVec(name, help string, rule GaugeRule, labels ...string) *GaugeVec {
+	return &GaugeVec{f: r.getOrCreate(name, help, KindGauge, rule, labels, nil)}
 }
 
 // GaugeVec is a gauge family keyed by label values.
@@ -208,21 +232,15 @@ func (v *GaugeVec) With(values ...string) *Gauge {
 }
 
 // GaugeFunc registers a gauge whose value is computed at scrape time.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	f := r.getOrCreate(name, help, KindGauge, nil, nil)
-	f.mu.Lock()
-	f.collect = func() []Sample { return []Sample{{Value: fn()}} }
-	f.mu.Unlock()
+func (r *Registry) GaugeFunc(name, help string, rule GaugeRule, fn func() float64) {
+	r.getOrCreate(name, help, KindGauge, rule, nil, nil).setCollect(scalar(fn))
 }
 
 // GaugeVecFunc registers a labeled gauge family whose children are
 // enumerated at scrape time — the natural shape for per-follower lag,
 // where the label set changes as followers register and get evicted.
-func (r *Registry) GaugeVecFunc(name, help string, labels []string, fn func() []Sample) {
-	f := r.getOrCreate(name, help, KindGauge, labels, nil)
-	f.mu.Lock()
-	f.collect = fn
-	f.mu.Unlock()
+func (r *Registry) GaugeVecFunc(name, help string, rule GaugeRule, labels []string, fn func() []Sample) {
+	r.getOrCreate(name, help, KindGauge, rule, labels, nil).setCollect(fn)
 }
 
 // Histogram registers (or fetches) an unlabeled histogram over buckets
@@ -231,7 +249,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	if buckets == nil {
 		buckets = DefBuckets
 	}
-	f := r.getOrCreate(name, help, KindHistogram, nil, buckets)
+	f := r.getOrCreate(name, help, KindHistogram, "", nil, buckets)
 	return f.child(nil, func() metric { return newHistogram(f.buckets) }).(*Histogram)
 }
 
@@ -241,7 +259,7 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...
 	if buckets == nil {
 		buckets = DefBuckets
 	}
-	return &HistogramVec{f: r.getOrCreate(name, help, KindHistogram, labels, buckets)}
+	return &HistogramVec{f: r.getOrCreate(name, help, KindHistogram, "", labels, buckets)}
 }
 
 // HistogramVec is a histogram family keyed by label values.

@@ -36,10 +36,11 @@ func newReplicaMetrics(r *obs.Registry) *replicaMetrics {
 			"Successful tail polls against the primary."),
 		pollErrors: r.Counter("replica_poll_errors_total",
 			"Failed polls and failed record applies (each retry counts)."),
+		// Across a fleet, caught-up is an AND (min over 0/1).
 		caughtUp: r.Gauge("replica_caught_up",
-			"1 when the newest poll found this follower at the primary's head."),
+			"1 when the newest poll found this follower at the primary's head.", obs.GaugeMin),
 		lastApplied: r.Gauge("replica_last_applied_seq",
-			"Newest primary log sequence mirrored into the local WAL."),
+			"Newest primary log sequence mirrored into the local WAL.", obs.GaugeMax),
 	}
 }
 

@@ -215,7 +215,7 @@ func (s *Server) openDurable() error {
 		// enumerates its children at exposition time.
 		s.reg.GaugeVecFunc("replication_follower_lag_batches",
 			"WAL records each registered follower trails the log head by.",
-			[]string{"follower"}, func() []obs.Sample {
+			obs.GaugeMax, []string{"follower"}, func() []obs.Sample {
 				cursors := s.repl.cursors(d.log.Stats().LastSeq)
 				out := make([]obs.Sample, len(cursors))
 				for i, c := range cursors {

@@ -134,10 +134,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 
 // encodeFailure accounts one failed response encode.
 func (s *Server) encodeFailure(err error) {
-	s.encodeFailures.Add(1)
-	if s.met != nil {
-		s.met.encodeFailures.Inc()
-	}
+	s.encodeFailures.Inc()
 	s.warnf("serve: encoding response: %v", err)
 }
 
@@ -633,7 +630,7 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 	s.finish(js)
 }
 
-// statsResponse is the GET /stats payload.
+// statsResponse is the GET /stats payload, rendered by RenderStats.
 type statsResponse struct {
 	Ready         bool        `json:"ready"`
 	Seq           int64       `json:"seq"`
@@ -674,39 +671,101 @@ type statsResponse struct {
 	// show how much I/O the zone maps and blooms pruned. Always present,
 	// even before the first refit.
 	Storage store.StorageStats `json:"storage"`
+
+	// Partitions is a router's partition count; absent on a server.
+	Partitions int `json:"partitions,omitempty"`
 }
 
+// RenderStats renders the GET /stats payload from parsed metric families:
+// a server's own exposition, or a router's obs.Merge of its partitions'
+// expositions. Each field is read off the family registerStatsFamilies
+// backs it with, so across partitions it combines by that family's rule
+// (counters sum); a label-valued field — mode, policy, version, commit,
+// storage kind — reads "mixed" when the merged families disagree.
+func RenderStats(fams []*obs.ParsedFamily) statsResponse {
+	v := make(famView, len(fams))
+	for _, f := range fams {
+		v[f.Name] = f
+	}
+	return statsResponse{
+		Ready:          v.num("snapshot_ready") == 1,
+		Seq:            int64(v.num("snapshot_seq")),
+		Mode:           RefitPolicy(v.label("snapshot_mode", "mode")),
+		Policy:         RefitPolicy(v.label("refit_policy", "policy")),
+		Pending:        int(v.num("pending_mutations")),
+		IngestedTotal:  int64(v.num("ingest_lifetime_rows_total")),
+		Refits:         int64(v.num("refits_completed_total")),
+		FullRefits:     int64(v.num("refits_full_total")),
+		DirtyRefits:    int64(v.num("refits_dirty_total")),
+		LastRefitMS:    v.num("refit_last_duration_seconds") * 1e3,
+		FreshnessMS:    v.num("refit_freshness_seconds") * 1e3,
+		DirtyEntities:  int(v.num("refit_dirty_entities")),
+		UptimeS:        v.num("process_uptime_seconds"),
+		Version:        v.label("build_info", "version"),
+		Commit:         v.label("build_info", "commit"),
+		EncodeFailures: int64(v.num("encode_failures_total")),
+		Entities:       int(v.num("snapshot_entities")),
+		Sources:        int(v.num("snapshot_sources")),
+		Facts:          int(v.num("snapshot_facts")),
+		Claims:         int(v.num("snapshot_claims")),
+		PositiveClaims: int(v.num("snapshot_positive_claims")),
+		NegativeClaims: int(v.num("snapshot_negative_claims")),
+		Labeled:        int(v.num("snapshot_labeled")),
+		Storage: store.StorageStats{
+			Kind:            v.label("storage_backend", "kind"),
+			Resident:        int(v.num("storage_resident_rows")),
+			OnDisk:          int(v.num("storage_disk_rows")),
+			Segments:        int(v.num("storage_segments")),
+			SegmentBytes:    int64(v.num("storage_segment_bytes")),
+			SegmentsScanned: uint64(v.num("storage_segments_scanned_total")),
+			SegmentsSkipped: uint64(v.num("storage_segments_skipped_total")),
+			PagesScanned:    uint64(v.num("storage_pages_scanned_total")),
+		},
+	}
+}
+
+// famView indexes parsed families by name for RenderStats.
+type famView map[string]*obs.ParsedFamily
+
+// num is an unlabeled family's value, 0 when it has no sample.
+func (v famView) num(name string) float64 {
+	if f := v[name]; f != nil && len(f.Samples) > 0 {
+		return f.Samples[0].Value
+	}
+	return 0
+}
+
+// label is the value a family's samples carry for label: "" with no
+// sample, "mixed" when merged partitions contributed different values.
+func (v famView) label(name, label string) string {
+	out := ""
+	if f := v[name]; f != nil {
+		for _, s := range f.Samples {
+			for _, l := range s.Labels {
+				if l.Name != label {
+					continue
+				}
+				if out != "" && out != l.Value {
+					return "mixed"
+				}
+				out = l.Value
+			}
+		}
+	}
+	return out
+}
+
+// handleStats renders /stats from the server's own exposition — the same
+// families GET /metrics serves and a router merges.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	rs := s.Refits()
-	resp := statsResponse{
-		Policy:         s.cfg.Policy,
-		Pending:        s.ingest.Len(),
-		IngestedTotal:  s.ingest.Total(),
-		Refits:         rs.Refits,
-		FullRefits:     rs.FullRefits,
-		DirtyRefits:    rs.DirtyRefits,
-		EncodeFailures: s.encodeFailures.Load(),
-		UptimeS:        time.Since(s.started).Seconds(),
-		Version:        obs.Version,
-		Commit:         obs.Commit,
-		Storage:        s.db.Stats(),
+	var buf bytes.Buffer
+	s.reg.WritePrometheus(&buf) // a bytes.Buffer write cannot fail
+	fams, err := obs.ParseExposition(&buf)
+	if err != nil {
+		s.writeError(w, http.StatusInternalServerError, codeInternal, err)
+		return
 	}
-	if sn := s.Snapshot(); sn != nil {
-		resp.Ready = true
-		resp.Seq = sn.Seq
-		resp.Mode = sn.Mode
-		resp.LastRefitMS = float64(sn.RefitDuration) / float64(time.Millisecond)
-		resp.FreshnessMS = float64(sn.Freshness) / float64(time.Millisecond)
-		resp.DirtyEntities = sn.DirtyEntities
-		resp.Entities = sn.Stats.Entities
-		resp.Sources = sn.Stats.Sources
-		resp.Facts = sn.Stats.Facts
-		resp.Claims = sn.Stats.Claims
-		resp.PositiveClaims = sn.Stats.PositiveClaims
-		resp.NegativeClaims = sn.Stats.NegativeClaims
-		resp.Labeled = sn.Stats.Labeled
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, RenderStats(fams))
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"latenttruth/internal/obs"
+	"latenttruth/internal/store"
 	"latenttruth/internal/wal"
 )
 
@@ -12,10 +13,11 @@ import (
 // adds per operation, cheap enough to leave on everywhere.
 type ObsConfig struct {
 	// Disabled turns off metric collection and the HTTP middleware. The
-	// registry still exists (GET /metrics serves build info and uptime),
-	// but nothing on the ingest/refit/WAL paths records — this is the
-	// uninstrumented comparator the instrumentation-overhead benchmark
-	// measures against.
+	// registry still exists and still serves the scrape-time families
+	// GET /stats is rendered from (build info, uptime, snapshot, refit,
+	// corpus and storage state, encode failures), but nothing on the
+	// ingest/refit/WAL paths records — this is the uninstrumented
+	// comparator the instrumentation-overhead benchmark measures against.
 	Disabled bool
 	// SlowRequest logs any request slower than this as a structured warn
 	// event with its route, status and duration. Zero disables.
@@ -32,13 +34,11 @@ type serveMetrics struct {
 	ingestBatches  *obs.Counter
 	ingestRejected *obs.Counter
 
-	refits         *obs.CounterVec // {mode}
-	refitErrors    *obs.Counter
-	refitSeconds   *obs.Histogram
-	refitPhase     *obs.HistogramVec // {phase}
-	refitDirty     *obs.Gauge
-	refitFreshness *obs.Gauge
-	decisionFlips  *obs.Counter
+	refits        *obs.CounterVec // {mode}
+	refitErrors   *obs.Counter
+	refitSeconds  *obs.Histogram
+	refitPhase    *obs.HistogramVec // {phase}
+	decisionFlips *obs.Counter
 
 	checkpoints    *obs.Counter
 	checkpointErrs *obs.Counter
@@ -49,8 +49,6 @@ type serveMetrics struct {
 	walRolls  *obs.Counter
 
 	longpollSecs *obs.Histogram
-
-	encodeFailures *obs.Counter
 }
 
 // walBuckets resolves the microsecond scale of WAL appends and fsyncs,
@@ -76,10 +74,6 @@ func newServeMetrics(r *obs.Registry) *serveMetrics {
 			"End-to-end refit duration: drain, fit and publish.", nil),
 		refitPhase: r.HistogramVec("refit_phase_seconds",
 			"Refit duration by lifecycle phase.", nil, "phase"),
-		refitDirty: r.Gauge("refit_dirty_entities",
-			"Entities the last dirty refit re-swept (0 after a full refit)."),
-		refitFreshness: r.Gauge("refit_freshness_seconds",
-			"Ingest-to-publish staleness bound of the published snapshot."),
 		decisionFlips: r.Counter("refit_decision_flips_total",
 			"Facts whose thresholded truth decision changed across a refit."),
 		checkpoints: r.Counter("checkpoint_total",
@@ -96,8 +90,6 @@ func newServeMetrics(r *obs.Registry) *serveMetrics {
 			"WAL segment rotations (seal + new segment)."),
 		longpollSecs: r.Histogram("replication_longpoll_seconds",
 			"Time /replication/wal polls spent waiting and streaming.", nil),
-		encodeFailures: r.Counter("encode_failures_total",
-			"Responses whose JSON encoding or socket write failed mid-body."),
 	}
 }
 
@@ -133,45 +125,125 @@ func (m *serveMetrics) ingested(rows int, err error) {
 func (s *Server) initObs() {
 	s.reg = obs.NewRegistry()
 	s.logger = obs.NewLogger(s.cfg.Logger, s.cfg.Obs.LogLevel)
-	s.reg.GaugeVec("build_info",
-		"Build identity; the value is always 1, the identity is in the labels.",
-		"version", "commit").With(obs.Version, obs.Commit).Set(1)
-	s.reg.GaugeFunc("process_uptime_seconds",
-		"Seconds since the server was constructed.",
-		func() float64 { return time.Since(s.started).Seconds() })
+	s.registerStatsFamilies()
 	if s.cfg.Obs.Disabled {
 		return
 	}
 	s.met = newServeMetrics(s.reg)
 	s.httpMW = obs.NewHTTPMetrics(s.reg, "http_", s.logger, s.cfg.Obs.SlowRequest)
-	s.reg.GaugeFunc("pending_mutations",
-		"Mutations awaiting compaction into the next snapshot.",
+}
+
+// registerStatsFamilies registers the families GET /stats is rendered
+// from (RenderStats reads them back by name), on every server, with
+// Obs.Disabled too. All but encode_failures_total are scrape-time
+// functions over state the server keeps anyway, so they add no work to
+// the ingest or refit paths; each gauge's rule is how its /stats field
+// combines across a cluster's partitions.
+func (s *Server) registerStatsFamilies() {
+	r := s.reg
+	// The constant-1 info families sum across partitions, counting the
+	// members per label value: a rolling deploy shows two builds.
+	r.GaugeVec("build_info",
+		"Build identity; the value is always 1, the identity is in the labels.",
+		obs.GaugeSum, "version", "commit").With(obs.Version, obs.Commit).Set(1)
+	r.GaugeVec("refit_policy",
+		"Configured refit policy; the value is always 1, the policy is in the label.",
+		obs.GaugeSum, "policy").With(string(s.cfg.Policy)).Set(1)
+	r.GaugeFunc("process_uptime_seconds",
+		"Seconds since the server was constructed.", obs.GaugeMin,
+		func() float64 { return time.Since(s.started).Seconds() })
+	r.GaugeFunc("pending_mutations",
+		"Mutations awaiting compaction into the next snapshot.", obs.GaugeSum,
 		func() float64 { return float64(s.ingest.Len()) })
-	s.reg.GaugeFunc("snapshot_seq",
-		"Refit sequence number of the published snapshot (0 before the first).",
-		func() float64 {
+	r.CounterFunc("ingest_lifetime_rows_total",
+		"Claim rows accepted over the server's lifetime, restored across restarts.",
+		func() float64 { return float64(s.ingest.Total()) })
+	r.CounterFunc("refits_completed_total", "Completed refits.",
+		func() float64 { return float64(s.refits.Load()) })
+	r.CounterFunc("refits_full_total", "Completed refits that ran the full engine.",
+		func() float64 { return float64(s.fullRefits.Load()) })
+	r.CounterFunc("refits_dirty_total", "Completed refits that took the dirty fast path.",
+		func() float64 { return float64(s.dirtyRefits.Load()) })
+	s.encodeFailures = r.Counter("encode_failures_total",
+		"Responses whose JSON encoding or socket write failed mid-body.")
+
+	// The published snapshot's identity, refit timings and corpus shape;
+	// zero (and no snapshot_mode child) before the first refit.
+	snap := func(name, help string, rule obs.GaugeRule, v func(*Snapshot) float64) {
+		r.GaugeFunc(name, help, rule, func() float64 {
 			if sn := s.snap.Load(); sn != nil {
-				return float64(sn.Seq)
+				return v(sn)
 			}
 			return 0
 		})
-	// Storage-backend gauges read Backend.Stats(), which is atomics-only —
-	// a scrape never contends with an in-flight refit or seal. They are
-	// registered on every instrumented server (a memory backend reports
-	// zero disk rows/segments) so the cluster-level merge rules always see
-	// the family.
-	s.reg.GaugeFunc("storage_resident_rows",
-		"Claim rows resident on the heap (memory backend: the whole corpus).",
-		func() float64 { return float64(s.db.Stats().Resident) })
-	s.reg.GaugeFunc("storage_disk_rows",
-		"Claim rows covered by sealed on-disk segments.",
-		func() float64 { return float64(s.db.Stats().OnDisk) })
-	s.reg.GaugeFunc("storage_segments",
-		"Sealed claim segments currently open.",
-		func() float64 { return float64(s.db.Stats().Segments) })
-	s.reg.GaugeFunc("storage_segment_bytes",
-		"Total bytes of the sealed claim segments.",
-		func() float64 { return float64(s.db.Stats().SegmentBytes) })
+	}
+	snap("snapshot_ready", "1 once a snapshot is published; the cluster merge is an AND.",
+		obs.GaugeMin, func(*Snapshot) float64 { return 1 })
+	snap("snapshot_seq", "Refit sequence number of the published snapshot (0 before the first).",
+		obs.GaugeMin, func(sn *Snapshot) float64 { return float64(sn.Seq) })
+	snap("refit_last_duration_seconds", "Duration of the refit that produced the published snapshot.",
+		obs.GaugeMax, func(sn *Snapshot) float64 { return sn.RefitDuration.Seconds() })
+	snap("refit_freshness_seconds", "Ingest-to-publish staleness bound of the published snapshot.",
+		obs.GaugeMax, func(sn *Snapshot) float64 { return sn.Freshness.Seconds() })
+	snap("refit_dirty_entities", "Entities the last dirty refit re-swept (0 after a full refit).",
+		obs.GaugeSum, func(sn *Snapshot) float64 { return float64(sn.DirtyEntities) })
+	snap("snapshot_entities", "Entities in the published snapshot.",
+		obs.GaugeSum, func(sn *Snapshot) float64 { return float64(sn.Stats.Entities) })
+	// Sources span partitions, so a sum would double-count; the router
+	// replaces the merged max with the union of its partitions' names.
+	snap("snapshot_sources", "Sources in the published snapshot.",
+		obs.GaugeMax, func(sn *Snapshot) float64 { return float64(sn.Stats.Sources) })
+	snap("snapshot_facts", "Facts in the published snapshot.",
+		obs.GaugeSum, func(sn *Snapshot) float64 { return float64(sn.Stats.Facts) })
+	snap("snapshot_claims", "Claims in the published snapshot.",
+		obs.GaugeSum, func(sn *Snapshot) float64 { return float64(sn.Stats.Claims) })
+	snap("snapshot_positive_claims", "Positive claims in the published snapshot.",
+		obs.GaugeSum, func(sn *Snapshot) float64 { return float64(sn.Stats.PositiveClaims) })
+	snap("snapshot_negative_claims", "Negative claims in the published snapshot.",
+		obs.GaugeSum, func(sn *Snapshot) float64 { return float64(sn.Stats.NegativeClaims) })
+	snap("snapshot_labeled", "Labeled facts in the published snapshot.",
+		obs.GaugeSum, func(sn *Snapshot) float64 { return float64(sn.Stats.Labeled) })
+	r.GaugeVecFunc("snapshot_mode",
+		"Refit mode that produced the published snapshot; the value is always 1.",
+		obs.GaugeSum, []string{"mode"}, func() []obs.Sample {
+			if sn := s.snap.Load(); sn != nil {
+				return []obs.Sample{{LabelValues: []string{string(sn.Mode)}, Value: 1}}
+			}
+			return nil
+		})
+
+	// Storage families read Backend.Stats(), which is atomics-only — a
+	// scrape never contends with an in-flight refit or seal. A memory
+	// backend reports zero disk rows, segments and scans.
+	r.GaugeVecFunc("storage_backend",
+		"Claim-storage backend kind; the value is always 1.",
+		obs.GaugeSum, []string{"kind"}, func() []obs.Sample {
+			return []obs.Sample{{LabelValues: []string{s.db.Stats().Kind}, Value: 1}}
+		})
+	storage := func(v func(store.StorageStats) float64) func() float64 {
+		return func() float64 { return v(s.db.Stats()) }
+	}
+	r.GaugeFunc("storage_resident_rows",
+		"Claim rows resident on the heap (memory backend: the whole corpus).", obs.GaugeSum,
+		storage(func(st store.StorageStats) float64 { return float64(st.Resident) }))
+	r.GaugeFunc("storage_disk_rows",
+		"Claim rows covered by sealed on-disk segments.", obs.GaugeSum,
+		storage(func(st store.StorageStats) float64 { return float64(st.OnDisk) }))
+	r.GaugeFunc("storage_segments",
+		"Sealed claim segments currently open.", obs.GaugeSum,
+		storage(func(st store.StorageStats) float64 { return float64(st.Segments) }))
+	r.GaugeFunc("storage_segment_bytes",
+		"Total bytes of the sealed claim segments.", obs.GaugeSum,
+		storage(func(st store.StorageStats) float64 { return float64(st.SegmentBytes) }))
+	r.CounterFunc("storage_segments_scanned_total",
+		"Scan legs that had to open a segment.",
+		storage(func(st store.StorageStats) float64 { return float64(st.SegmentsScanned) }))
+	r.CounterFunc("storage_segments_skipped_total",
+		"Scan legs pruned by zone map or bloom filter without I/O.",
+		storage(func(st store.StorageStats) float64 { return float64(st.SegmentsSkipped) }))
+	r.CounterFunc("storage_pages_scanned_total",
+		"Pages decoded inside scanned segments.",
+		storage(func(st store.StorageStats) float64 { return float64(st.PagesScanned) }))
 }
 
 // Registry returns the server's metric registry (never nil). A follower

@@ -137,8 +137,6 @@ func (s *Server) fitPublish(override RefitPolicy, dr drainResult, sp *obs.Span) 
 		for phase, d := range sp.PhaseDurations() {
 			s.met.refitPhase.With(phase).Observe(d.Seconds())
 		}
-		s.met.refitDirty.Set(float64(snap.DirtyEntities))
-		s.met.refitFreshness.Set(snap.Freshness.Seconds())
 		s.met.decisionFlips.Add(uint64(flips))
 	}
 	return snap, nil

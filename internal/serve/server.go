@@ -183,8 +183,8 @@ type Server struct {
 	testFitErr func() error
 	// encodeFailures counts responses whose JSON encoding or socket write
 	// failed mid-body; surfaced in /stats so truncated responses are
-	// observable instead of silently dropped.
-	encodeFailures atomic.Int64
+	// observable instead of silently dropped. Registered on every server.
+	encodeFailures *obs.Counter
 
 	// dur is the durability runtime (WAL + checkpoint store); nil when the
 	// server is memory-only. walSeqCompacted / totalCompacted are the
