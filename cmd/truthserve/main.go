@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	truthserve [-addr :8080] [-policy full|incremental|online|dirty]
+//	truthserve [-addr :8080] [-policy full|online|dirty]
 //	           [-refit-dirty]
 //	           [-refit-interval 2s] [-full-every 10] [-min-batch 1]
 //	           [-threshold 0.5] [-iterations 100] [-seed 1]
@@ -91,7 +91,7 @@
 //	GET  /metrics
 //	GET  /healthz
 //	GET  /durability
-//	POST /refit   [?policy=full|incremental|online|dirty]
+//	POST /refit   [?policy=full|online|dirty]
 package main
 
 import (
@@ -121,10 +121,10 @@ func main() {
 func run() error {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
-		policy     = flag.String("policy", "full", "refit policy: full, incremental, online or dirty")
+		policy     = flag.String("policy", "full", "refit policy: full, online or dirty")
 		refitDirty = flag.Bool("refit-dirty", false, "shorthand for -policy dirty (dirty-entity delta refits)")
 		interval   = flag.Duration("refit-interval", 2*time.Second, "background refit period (0 disables the timer; use POST /refit)")
-		fullEvery  = flag.Int("full-every", 10, "force a full engine refit every n-th refit under the fast-path policies")
+		fullEvery  = flag.Int("full-every", 10, "force a full engine refit every n-th refit under the online and dirty policies")
 		minBatch   = flag.Int("min-batch", 1, "pending claims required before a timed refit fires")
 		threshold  = flag.Float64("threshold", 0.5, "integration threshold for the served truth table")
 		iterations = flag.Int("iterations", 0, "Gibbs iterations per full refit (0 = default 100)")

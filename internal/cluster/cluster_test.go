@@ -36,7 +36,7 @@ import (
 // run uncoupled Gibbs chains over disjoint entity subsets, so per-fact
 // probabilities and the merged quality table may differ from a single
 // joint fit by chain noise, not by reconciliation error. Measured on the
-// 60-entity corpus across K∈{2,4} and all four policies the worst
+// 60-entity corpus across K∈{2,4} and every refit policy the worst
 // per-fact probability gap is 0.088 and the worst quality-metric gap
 // 0.004; the bounds carry headroom over that.
 const (
@@ -327,7 +327,7 @@ func TestClusterEquivalence(t *testing.T) {
 	corpus := clusterCorpus(t)
 	batches := chunkRows(positiveClaimRows(corpus.Dataset), 3)
 	policies := []serve.RefitPolicy{
-		serve.RefitFull, serve.RefitIncremental, serve.RefitOnline, serve.RefitDirty,
+		serve.RefitFull, serve.RefitOnline, serve.RefitDirty,
 	}
 	for _, k := range []int{1, 2, 4} {
 		for _, policy := range policies {
@@ -638,6 +638,121 @@ func TestClusterFaultInjection(t *testing.T) {
 	getJSON(t, tc.router.URL+"/truth?entity="+url.QueryEscape(e0)+"&attribute=outage-attr", &final)
 	if len(final.Rows) != 1 {
 		t.Fatalf("claim ingested during the outage not served after recovery refit: %+v", final.Rows)
+	}
+}
+
+// routedHealth is the router's /healthz body.
+type routedHealth struct {
+	Status     string            `json:"status"`
+	Ready      bool              `json:"ready"`
+	Seq        int64             `json:"seq"`
+	Partitions []partitionHealth `json:"partitions"`
+}
+
+// TestRouterHealthz: the router's /healthz is always 200, is ready only
+// once every partition has published a snapshot, reports the partitions'
+// minimum seq, and marks a stopped partition down with its error.
+func TestRouterHealthz(t *testing.T) {
+	rows := positiveClaimRows(clusterCorpus(t).Dataset)
+	tc := newTestCluster(t, 2, serve.RefitFull, false)
+	owned := make([][]model.Row, 2)
+	for _, r := range rows {
+		p := PartitionOf(r.Entity, 2)
+		owned[p] = append(owned[p], r)
+	}
+	if len(owned[0]) == 0 || len(owned[1]) == 0 {
+		t.Fatal("corpus does not populate both partitions")
+	}
+	health := func() routedHealth {
+		t.Helper()
+		var h routedHealth
+		getJSON(t, tc.router.URL+"/healthz", &h)
+		if h.Status != "ok" || len(h.Partitions) != 2 {
+			t.Fatalf("healthz %+v", h)
+		}
+		return h
+	}
+
+	if h := health(); h.Ready || h.Seq != 0 {
+		t.Fatalf("before any refit: %+v, want not ready at seq 0", h)
+	}
+	// Partition 0 refits twice, partition 1 not yet: not ready, floor 0.
+	mustIngest(t, tc.url(0), owned[0])
+	mustRefit(t, tc.url(0))
+	mustIngest(t, tc.url(0), owned[0][:1])
+	mustRefit(t, tc.url(0))
+	if h := health(); h.Ready || h.Seq != 0 || h.Partitions[0].Seq != 2 || !h.Partitions[0].Ready {
+		t.Fatalf("one partition refitted: %+v, want not ready at seq 0", h)
+	}
+	// Both refitted: ready, and seq is the minimum of 2 and 1.
+	mustIngest(t, tc.url(1), owned[1])
+	mustRefit(t, tc.url(1))
+	if h := health(); !h.Ready || h.Seq != 1 {
+		t.Fatalf("both partitions refitted: %+v, want ready at seq 1", h)
+	}
+
+	tc.stopPrimary(1)
+	h := health()
+	if h.Ready {
+		t.Fatalf("stopped partition: %+v, want not ready", h)
+	}
+	if p := h.Partitions[1]; p.Up || p.Error == "" {
+		t.Fatalf("stopped partition reported %+v, want up=false with an error", p)
+	}
+	if p := h.Partitions[0]; !p.Up || !p.Ready || p.Seq != 2 {
+		t.Fatalf("live partition reported %+v", p)
+	}
+}
+
+// TestRouterScatteredRecords: the full-table /records at K=2 is the
+// union of the partitions' record tables with every entity once, sorted
+// by entity name; ?limit= cuts the merged table, and count matches.
+func TestRouterScatteredRecords(t *testing.T) {
+	rows := positiveClaimRows(clusterCorpus(t).Dataset)
+	tc := newTestCluster(t, 2, serve.RefitFull, false)
+	mustIngest(t, tc.router.URL, rows)
+	mustRefit(t, tc.router.URL)
+
+	type recordsResponse struct {
+		Records []json.RawMessage `json:"records"`
+		Count   int               `json:"count"`
+	}
+	entities := func(resp recordsResponse) []string {
+		t.Helper()
+		if resp.Count != len(resp.Records) {
+			t.Fatalf("count %d for %d records", resp.Count, len(resp.Records))
+		}
+		names := make([]string, len(resp.Records))
+		for i, raw := range resp.Records {
+			names[i] = recordKey(raw)
+		}
+		return names
+	}
+	var all recordsResponse
+	getJSON(t, tc.router.URL+"/records", &all)
+	got := entities(all)
+
+	want := map[string]bool{}
+	for _, r := range rows {
+		want[r.Entity] = true
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d records for %d entities", len(got), len(want))
+	}
+	for i, e := range got {
+		if !want[e] {
+			t.Fatalf("record %d: entity %q is missing or repeated", i, e)
+		}
+		delete(want, e)
+		if i > 0 && got[i-1] >= e {
+			t.Fatalf("records not sorted by entity: %q before %q", got[i-1], e)
+		}
+	}
+
+	var limited recordsResponse
+	getJSON(t, tc.router.URL+"/records?limit=5", &limited)
+	if entities(limited); !reflect.DeepEqual(limited.Records, all.Records[:5]) {
+		t.Fatalf("limit=5 is not the first 5 of the merged table")
 	}
 }
 

@@ -1,7 +1,9 @@
 package replica
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -9,6 +11,7 @@ import (
 
 	"latenttruth/internal/core"
 	"latenttruth/internal/model"
+	"latenttruth/internal/obs"
 	"latenttruth/internal/serve"
 	"latenttruth/internal/wal"
 )
@@ -95,7 +98,7 @@ func waitSnapshotSeq(t *testing.T, f *Follower, seq int64) *serve.Snapshot {
 	t.Helper()
 	waitFor(t, fmt.Sprintf("follower snapshot seq %d", seq), func() bool {
 		sn := f.Server().Snapshot()
-		return sn != nil && sn.Seq >= seq && sn.Mode != serve.RefitIncremental
+		return sn != nil && sn.Seq >= seq
 	})
 	return f.Server().Snapshot()
 }
@@ -140,7 +143,7 @@ func mustEqualSnapshots(t *testing.T, got, want *serve.Snapshot) {
 func TestFollowerBitIdenticalTruth(t *testing.T) {
 	prim, ts := newPrimary(t, t.TempDir())
 	ingestRefit(t, prim, 0)
-	ingestRefit(t, prim, 1)
+	boot := ingestRefit(t, prim, 1)
 
 	f, err := Start(followerConfig(ts.URL, t.TempDir()))
 	if err != nil {
@@ -150,9 +153,10 @@ func TestFollowerBitIdenticalTruth(t *testing.T) {
 	if st := f.Stats(); !st.Bootstrapped || st.BootstrapSeq != 2 {
 		t.Fatalf("bootstrap stats %+v, want bootstrapped at seq 2", st)
 	}
-	// The bootstrap state serves immediately (the LTMinc posterior from
-	// the checkpointed quality) while the follower catches up.
-	waitFor(t, "warm bootstrap snapshot", func() bool { return f.Server().Snapshot() != nil })
+	// Before any further marker the follower already serves the snapshot
+	// restored from the primary's checkpoint: same seq, mode and
+	// posterior as the primary's.
+	mustEqualSnapshots(t, f.Server().Snapshot(), boot)
 
 	// Each primary refit ships a marker; the follower's replayed snapshot
 	// must match the primary's bit for bit, seq for seq.
@@ -341,5 +345,63 @@ func TestStartValidation(t *testing.T) {
 	}
 	if _, err := Start(Config{Primary: "not a url", Serve: primaryConfig(t.TempDir())}); err == nil {
 		t.Fatal("bogus primary URL accepted")
+	}
+}
+
+// TestFollowerMetrics: a follower's /metrics concatenates its inner
+// server's registry with its own replica_* families. The result must be
+// one valid exposition carrying both, and must merge with a primary's.
+func TestFollowerMetrics(t *testing.T) {
+	prim, ts := newPrimary(t, t.TempDir())
+	ingestRefit(t, prim, 0)
+	f, err := Start(followerConfig(ts.URL, t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	want := ingestRefit(t, prim, 1)
+	waitSnapshotSeq(t, f, want.Seq)
+
+	scrape := func(base string) ([]byte, map[string]bool) {
+		t.Helper()
+		resp, err := http.Get(base + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s/metrics: status %d", base, resp.StatusCode)
+		}
+		fams, err := obs.ParseExposition(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("GET %s/metrics: %v", base, err)
+		}
+		names := make(map[string]bool, len(fams))
+		for _, fam := range fams {
+			names[fam.Name] = true
+		}
+		return body, names
+	}
+	fts := httptest.NewServer(f.Handler())
+	defer fts.Close()
+	folBody, folFams := scrape(fts.URL)
+	primBody, primFams := scrape(ts.URL)
+
+	for _, name := range []string{"replica_applied_refits_total", "replica_caught_up", "replica_last_applied_seq"} {
+		if !folFams[name] {
+			t.Errorf("follower /metrics lacks %s", name)
+		}
+	}
+	for name := range primFams {
+		if !folFams[name] {
+			t.Errorf("follower /metrics lacks the server family %s", name)
+		}
+	}
+	if _, err := obs.Merge([][]byte{primBody, folBody}); err != nil {
+		t.Fatalf("merging primary and follower /metrics: %v", err)
 	}
 }

@@ -2,17 +2,18 @@
 // HTTP/JSON daemon that ingests (entity, attribute, source) triples while
 // they arrive, periodically refits the Latent Truth Model in the background
 // (full engine refit — optionally entity-sharded across cores via
-// internal/shard — or the §5.4 incremental/online fast paths, policy
+// internal/shard — or the §5.4 online and dirty-entity fast paths, policy
 // configurable), and answers truth, quality and stats queries from an
 // immutable fitted Snapshot swapped in with an atomic pointer — readers are
 // never blocked by a refit and never observe a half-updated model.
 //
 // The daemon is the production embodiment of the paper's streaming story:
 // RefitFull re-anchors on cumulative data (§5.4's periodic retrain),
-// RefitIncremental serves Equation 3's closed form from accumulated
-// quality, and RefitOnline adds per-batch incremental learning. The truth
-// tables served are Definition 4's integrated output (Table 4); quality
-// responses follow Table 8's presentation order.
+// RefitOnline learns quality from each arrived batch and serves Equation
+// 3's closed form over the cumulative data, and RefitDirty re-sweeps only
+// the entities a batch touched. The truth tables served are Definition 4's
+// integrated output (Table 4); quality responses follow Table 8's
+// presentation order.
 //
 // With Config.Durability set, the server is crash-safe (internal/wal):
 // every accepted batch is written ahead to a segmented, CRC-framed log

@@ -248,9 +248,6 @@ func (s *Server) openDurable() error {
 			}
 		}
 	}
-	if err := s.bootstrapFollowerSnapshot(); err != nil {
-		s.warnf("serve: follower bootstrap snapshot: %v", err)
-	}
 	if rec.Stats.ColdStart {
 		s.logf("serve: durability on (%s, fsync=%s): cold start", dcfg.DataDir, dcfg.Fsync)
 	} else {
@@ -282,9 +279,9 @@ func (s *Server) restoreSnapshot(cp *wal.Checkpoint) error {
 	}
 	m := cp.Manifest
 	// Dirty snapshots inherit the method label of the full anchor whose
-	// posterior they extend, so only the closed-form policies report LTMinc.
+	// posterior they extend, so only the online policy reports LTMinc.
 	method := "LTM"
-	if mode := RefitPolicy(m.Mode); mode == RefitIncremental || mode == RefitOnline {
+	if RefitPolicy(m.Mode) == RefitOnline {
 		method = "LTMinc"
 	}
 	snap, err := newSnapshot(m.Seq, ds, &model.Result{Method: method, Prob: prob},

@@ -135,7 +135,7 @@ func TestDurableColdStartMatchesMemoryServer(t *testing.T) {
 // second batch acknowledged but uncompacted, restart, refit — and compare
 // against an uninterrupted run of the identical schedule.
 func TestDurableRestartBitIdentical(t *testing.T) {
-	for _, policy := range []RefitPolicy{RefitFull, RefitIncremental, RefitOnline} {
+	for _, policy := range []RefitPolicy{RefitFull, RefitOnline} {
 		t.Run(string(policy), func(t *testing.T) {
 			dir := t.TempDir()
 
@@ -151,9 +151,9 @@ func TestDurableRestartBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Refits 1..3 happen before the crash so the incremental and
-			// online policies are past their initial full fit and have real
-			// accumulated quality in the checkpoint.
+			// Refits 1..3 happen before the crash so the online policy is
+			// past its initial full fit and has real accumulated quality
+			// in the checkpoint.
 			for r := 0; r < 3; r++ {
 				mustIngest(t, a, batchRows(r))
 				mustIngest(t, ref, batchRows(r))
@@ -250,7 +250,7 @@ func TestDurableRecoveryAfterTornTail(t *testing.T) {
 
 func TestDurableConfigChangeDropsQualityKeepsData(t *testing.T) {
 	dir := t.TempDir()
-	a, err := New(durableConfig(RefitIncremental, dir))
+	a, err := New(durableConfig(RefitOnline, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestDurableConfigChangeDropsQualityKeepsData(t *testing.T) {
 	claims := a.Snapshot().Stats.Claims
 	crash(a)
 
-	cfg := durableConfig(RefitIncremental, dir)
+	cfg := durableConfig(RefitOnline, dir)
 	cfg.LTM = core.Config{Iterations: 60, Seed: 9} // different model config
 	b, err := New(cfg)
 	if err != nil {
@@ -279,6 +279,47 @@ func TestDurableConfigChangeDropsQualityKeepsData(t *testing.T) {
 	}
 	if sn.Mode != RefitFull {
 		t.Fatalf("first refit after quality drop ran %q, want full", sn.Mode)
+	}
+}
+
+// TestDurableRecoversRetiredPolicyMarker: a log written by a server that
+// still offered the retired "incremental" policy carries refit markers
+// naming it. Recovery must keep every row around such a marker, and the
+// next refit must publish them all.
+func TestDurableRecoversRetiredPolicyMarker(t *testing.T) {
+	dir := t.TempDir()
+	a, err := New(durableConfig(RefitOnline, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := New(testConfig(RefitOnline))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	for _, s := range []*Server{a, ref} {
+		mustIngest(t, s, batchRows(0))
+		mustRefit(t, s)
+		mustIngest(t, s, batchRows(1))
+	}
+	if _, err := a.dur.log.AppendNote("refit:incremental|dirty=0"); err != nil {
+		t.Fatal(err)
+	}
+	mustIngest(t, a, batchRows(2))
+	mustIngest(t, ref, batchRows(2))
+	crash(a)
+
+	b, err := New(durableConfig(RefitOnline, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if want := len(batchRows(1)) + len(batchRows(2)); b.Pending() != want {
+		t.Fatalf("pending after recovery = %d, want %d", b.Pending(), want)
+	}
+	mustEqualSnapshots(t, mustRefit(t, b), mustRefit(t, ref))
+	if b.Pending() != 0 {
+		t.Fatalf("pending after refit = %d, want 0", b.Pending())
 	}
 }
 
@@ -320,10 +361,12 @@ func TestIngestIsAllOrNothing(t *testing.T) {
 // random policies and asserts recover(checkpoint, walTail) reproduces the
 // in-memory state bit-identically for every one of them.
 func TestDurableRecoveryProperty(t *testing.T) {
-	policies := []RefitPolicy{RefitFull, RefitIncremental, RefitOnline}
 	for trial := 0; trial < 6; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
-		policy := policies[trial%len(policies)]
+		policy := RefitOnline
+		if trial%3 == 0 {
+			policy = RefitFull
+		}
 		t.Run(fmt.Sprintf("trial%d_%s", trial, policy), func(t *testing.T) {
 			dir := t.TempDir()
 			a, err := New(durableConfig(policy, dir))

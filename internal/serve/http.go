@@ -646,7 +646,7 @@ type statsResponse struct {
 	// bound: how long its oldest folded row waited for publication.
 	FreshnessMS float64 `json:"freshness_ms"`
 	// DirtyEntities is the number of entities the last dirty refit
-	// re-swept (0 after a full/incremental/online refit).
+	// re-swept (0 after a full or online refit).
 	DirtyEntities int     `json:"dirty_entities"`
 	UptimeS       float64 `json:"uptime_s"`
 	// Version and Commit identify the running build (linker-stamped via

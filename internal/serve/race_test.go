@@ -27,8 +27,8 @@ func TestServerConcurrentReadsDuringRefits(t *testing.T) {
 	c := testCorpus(t, 7)
 	s, err := New(Config{
 		LTM:           core.Config{Iterations: 25, Seed: 1},
-		Policy:        RefitIncremental,
-		FullEvery:     2, // alternate full and incremental under stress
+		Policy:        RefitOnline,
+		FullEvery:     2, // alternate full and online under stress
 		RefitInterval: -1,
 	})
 	if err != nil {

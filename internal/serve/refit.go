@@ -254,18 +254,18 @@ func (s *Server) fitLocked(override RefitPolicy, dr drainResult, sp *obs.Span) (
 		}
 		ds, res, quality, rm = out.ds, out.res, out.quality, out.rm
 		mode, dirtyEntities = RefitDirty, out.dirtyEntities
-	default:
+	default: // RefitOnline
 		ds = model.BuildRows(s.db.Rows())
-		if policy == RefitOnline && len(fresh) > 0 {
+		if len(fresh) > 0 {
 			if err := s.stepBatch(fresh); err != nil {
 				return nil, 0, err
 			}
 		}
 		var err error
 		if res, err = s.online.Predict(ds); err != nil {
-			return nil, 0, fmt.Errorf("serve: incremental refit: %w", err)
+			return nil, 0, fmt.Errorf("serve: online refit: %w", err)
 		}
-		quality, mode = s.online.Quality(), policy
+		quality, mode = s.online.Quality(), RefitOnline
 	}
 
 	// The fit is done; building the read models, swapping the snapshot

@@ -14,8 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"latenttruth/internal/core"
-	"latenttruth/internal/model"
 	"latenttruth/internal/store"
 	"latenttruth/internal/wal"
 )
@@ -301,34 +299,6 @@ func (s *Server) NextReplicationSeq() uint64 {
 		next = ls
 	}
 	return next + 1
-}
-
-// bootstrapFollowerSnapshot publishes a follower's initial serving state
-// after recovery when no refit marker did: the LTMinc posterior over the
-// recovered database from the checkpointed source quality. It touches no
-// accumulator state, so replaying the primary's next marker still lands
-// bit-identically; it just means a freshly bootstrapped follower serves
-// immediately instead of returning 503 until the primary next refits.
-func (s *Server) bootstrapFollowerSnapshot() error {
-	if s.cfg.FollowerOf == "" || s.Snapshot() != nil || s.db.Len() == 0 {
-		return nil
-	}
-	if s.online == nil || !s.online.HasQuality() {
-		s.warnf("serve: follower has no reusable policy state (config mismatch?); serving starts at the first replicated refit")
-		return nil
-	}
-	ds := model.BuildRows(s.db.Rows())
-	res, err := s.online.Predict(ds)
-	if err != nil {
-		return err
-	}
-	snap, err := newSnapshot(s.refits.Load(), ds, res, core.RankedQuality(s.online.Quality()),
-		s.cfg.Threshold, RefitIncremental, 0, 0, 0, nil)
-	if err != nil {
-		return err
-	}
-	s.snap.Store(snap)
-	return nil
 }
 
 // checkpointFiles is the fixed part order of a /replication/checkpoint

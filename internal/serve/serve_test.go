@@ -348,63 +348,65 @@ func TestServerRejectsBadIngest(t *testing.T) {
 	wantStatus(t, resp, http.StatusAccepted)
 	resp.Body.Close()
 
-	resp, err = http.Post(ts.URL+"/refit?policy=bogus", "", nil)
-	if err != nil {
-		t.Fatal(err)
+	for _, policy := range []string{"bogus", "incremental"} {
+		resp, err = http.Post(ts.URL+"/refit?policy="+policy, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantStatus(t, resp, http.StatusBadRequest)
+		resp.Body.Close()
 	}
-	wantStatus(t, resp, http.StatusBadRequest)
-	resp.Body.Close()
 }
 
+// The incremental policy this test once covered is gone; the online
+// policy keeps its subtest under the original name.
 func TestServerIncrementalAndOnlinePolicies(t *testing.T) {
-	for _, policy := range []RefitPolicy{RefitIncremental, RefitOnline} {
-		t.Run(string(policy), func(t *testing.T) {
-			c := testCorpus(t, 2)
-			batches := store.SplitEntities(c.Dataset, 4)
-			s, err := New(testConfig(policy))
-			if err != nil {
+	t.Run(string(RefitOnline), func(t *testing.T) {
+		c := testCorpus(t, 2)
+		batches := store.SplitEntities(c.Dataset, 4)
+		s, err := New(testConfig(RefitOnline))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+
+		// FullEvery = 3: expected modes per refit are full, online, online,
+		// full, ...
+		want := []RefitPolicy{RefitFull, RefitOnline, RefitOnline, RefitFull}
+		for i, b := range batches {
+			if _, err := s.Ingest(positiveRows(b)); err != nil {
 				t.Fatal(err)
 			}
-			defer s.Close()
-
-			// FullEvery = 3: expected modes per refit are full, policy,
-			// policy, full, ...
-			want := []RefitPolicy{RefitFull, policy, policy, RefitFull}
-			for i, b := range batches {
-				if _, err := s.Ingest(positiveRows(b)); err != nil {
-					t.Fatal(err)
-				}
-				sn, err := s.Refit("")
-				if err != nil {
-					t.Fatalf("refit %d: %v", i, err)
-				}
-				if sn.Mode != want[i] {
-					t.Fatalf("refit %d mode = %s, want %s", i, sn.Mode, want[i])
-				}
-				if sn.Seq != int64(i+1) {
-					t.Fatalf("refit %d seq = %d", i, sn.Seq)
-				}
-				if err := sn.Result.Validate(); err != nil {
-					t.Fatal(err)
-				}
-				if len(sn.Result.Prob) != sn.Dataset.NumFacts() {
-					t.Fatalf("refit %d: %d probs for %d facts", i, len(sn.Result.Prob), sn.Dataset.NumFacts())
-				}
-				if len(sn.Quality) == 0 {
-					t.Fatalf("refit %d: empty quality table", i)
-				}
+			sn, err := s.Refit("")
+			if err != nil {
+				t.Fatalf("refit %d: %v", i, err)
 			}
-			rs := s.Refits()
-			if rs.Refits != 4 || rs.FullRefits != 2 {
-				t.Fatalf("counters = %+v", rs)
+			if sn.Mode != want[i] {
+				t.Fatalf("refit %d mode = %s, want %s", i, sn.Mode, want[i])
 			}
-		})
-	}
+			if sn.Seq != int64(i+1) {
+				t.Fatalf("refit %d seq = %d", i, sn.Seq)
+			}
+			if err := sn.Result.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			if len(sn.Result.Prob) != sn.Dataset.NumFacts() {
+				t.Fatalf("refit %d: %d probs for %d facts", i, len(sn.Result.Prob), sn.Dataset.NumFacts())
+			}
+			if len(sn.Quality) == 0 {
+				t.Fatalf("refit %d: empty quality table", i)
+			}
+		}
+		rs := s.Refits()
+		if rs.Refits != 4 || rs.FullRefits != 2 {
+			t.Fatalf("counters = %+v", rs)
+		}
+	})
 }
 
 func TestServerPolicyOverride(t *testing.T) {
 	c := testCorpus(t, 3)
-	s, err := New(testConfig(RefitIncremental))
+	s, err := New(testConfig(RefitOnline))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -603,8 +605,10 @@ func TestIngestAfterCloseFails(t *testing.T) {
 }
 
 func TestNewRejectsBadConfig(t *testing.T) {
-	if _, err := New(Config{Policy: "bogus"}); err == nil {
-		t.Fatal("bad policy accepted")
+	for _, policy := range []RefitPolicy{"bogus", "incremental"} {
+		if _, err := New(Config{Policy: policy}); err == nil {
+			t.Fatalf("bad policy %q accepted", policy)
+		}
 	}
 	if _, err := New(Config{Threshold: 1.5}); err == nil {
 		t.Fatal("bad threshold accepted")

@@ -22,15 +22,11 @@ const (
 	// RefitFull runs the full collapsed Gibbs engine over the cumulative
 	// dataset on every refit — the most accurate and most expensive policy.
 	RefitFull RefitPolicy = "full"
-	// RefitIncremental serves the closed-form LTMinc posterior (Equation 3)
-	// over the cumulative dataset from the accumulated source quality — no
-	// sampling at all — and re-anchors with a full fit every FullEvery
-	// refits (§5.4's "quality remains relatively unchanged" fast path).
-	RefitIncremental RefitPolicy = "incremental"
-	// RefitOnline additionally Gibbs-fits each newly arrived batch with the
-	// accumulated per-source quality priors (stream.Online.Step, §5.4's full
-	// incremental learning) before serving the LTMinc posterior, so source
-	// quality keeps learning from new claims between full refits.
+	// RefitOnline Gibbs-fits each newly arrived batch with the accumulated
+	// per-source quality priors (stream.Online.Step, §5.4's full
+	// incremental learning), then serves the closed-form LTMinc posterior
+	// (Equation 3) over the cumulative dataset, so source quality keeps
+	// learning from new claims between full refits.
 	RefitOnline RefitPolicy = "online"
 	// RefitDirty re-sweeps only the entities touched since the last refit:
 	// the cumulative dataset is extended in place (store.ExtendDirty), just
@@ -45,7 +41,7 @@ const (
 // valid reports whether p names a known policy.
 func (p RefitPolicy) valid() bool {
 	switch p {
-	case RefitFull, RefitIncremental, RefitOnline, RefitDirty:
+	case RefitFull, RefitOnline, RefitDirty:
 		return true
 	}
 	return false
@@ -62,8 +58,8 @@ type Config struct {
 	// Policy selects the refit strategy (default RefitFull).
 	Policy RefitPolicy
 	// FullEvery forces a full engine refit every n-th refit under the
-	// incremental, online and dirty policies (default 10; the first refit
-	// is always full). Ignored under RefitFull.
+	// online and dirty policies (default 10; the first refit is always
+	// full). Ignored under RefitFull.
 	FullEvery int
 	// RefitInterval is the background refit period (default 2s). Zero or
 	// negative disables the timer; refits then only happen via Refit (the

@@ -55,7 +55,8 @@ type Snapshot struct {
 	// Threshold is the integration threshold the truth table was cut at.
 	Threshold float64
 	// Mode is the refit policy that produced this snapshot ("full",
-	// "incremental", "online" or "dirty").
+	// "online" or "dirty"); a snapshot restored from a checkpoint keeps
+	// the mode its checkpoint recorded.
 	Mode RefitPolicy
 	// FittedAt and RefitDuration record when and how long the refit ran.
 	FittedAt      time.Time
@@ -69,7 +70,7 @@ type Snapshot struct {
 	// publication (zero when the refit drained nothing).
 	Freshness time.Duration
 	// DirtyEntities is the number of entities the dirty fast path re-swept
-	// to produce this snapshot (zero for full/incremental/online refits).
+	// to produce this snapshot (zero for full and online refits).
 	DirtyEntities int
 	// QualityCounts is the per-source expected confusion-count basis of
 	// Quality — the streaming accumulator's state at publish time, keyed by

@@ -49,7 +49,7 @@ var fittedAtRe = regexp.MustCompile(`"fitted_at":"[^"]*"`)
 // /stats is compared modulo its timing fields and the storage block,
 // which reports the (deliberately different) physical shape.
 func TestSegmentBackendBitIdentical(t *testing.T) {
-	for _, policy := range []RefitPolicy{RefitFull, RefitIncremental, RefitOnline, RefitDirty} {
+	for _, policy := range []RefitPolicy{RefitFull, RefitOnline, RefitDirty} {
 		t.Run(string(policy), func(t *testing.T) {
 			mem, err := New(durableConfig(policy, t.TempDir()))
 			if err != nil {

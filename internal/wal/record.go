@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -81,12 +82,18 @@ func DecodeBatch(r io.Reader) (Batch, error) {
 	if payloadLen < 12 || payloadLen > maxRecordBytes {
 		return Batch{}, fmt.Errorf("wal: decoding record: bad payload length %d", payloadLen)
 	}
-	frame := make([]byte, recHeaderSize+payloadLen)
-	copy(frame, hdr[:])
-	if _, err := io.ReadFull(r, frame[recHeaderSize:]); err != nil {
+	// The length is unverified until the CRC checks out, so the frame
+	// buffer grows with the bytes actually read rather than being sized
+	// from the header up front.
+	var frame bytes.Buffer
+	frame.Write(hdr[:])
+	if _, err := io.CopyN(&frame, r, int64(payloadLen)); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return Batch{}, fmt.Errorf("wal: decoding record payload: %w", err)
 	}
-	b, _, st := parseRecord(frame, 0)
+	b, _, st := parseRecord(frame.Bytes(), 0)
 	if st != recOK {
 		return Batch{}, fmt.Errorf("wal: decoding record: corrupt frame")
 	}
@@ -198,7 +205,10 @@ func decodePayload(p []byte) (Batch, bool) {
 	b := Batch{Seq: binary.LittleEndian.Uint64(p)}
 	n := int(binary.LittleEndian.Uint32(p[8:]))
 	p = p[12:]
-	if n < 0 || n > maxRecordBytes/12 {
+	// Each row takes at least three 4-byte length prefixes, so a row count
+	// the remaining payload cannot hold is rejected before it sizes an
+	// allocation.
+	if n > len(p)/12 {
 		return Batch{}, false
 	}
 	if n == 0 {

@@ -3,7 +3,10 @@ package wal
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -59,6 +62,62 @@ func TestDecodeBatchTruncatedAndCorrupt(t *testing.T) {
 	if _, err := DecodeBatch(bytes.NewReader(nil)); err != io.EOF {
 		t.Fatalf("empty stream: err = %v, want io.EOF", err)
 	}
+}
+
+// hugeRowCountFrame is a 32-byte frame with a valid CRC whose payload
+// claims maxRecordBytes/12 rows but holds only 12 bytes after the row
+// count.
+func hugeRowCountFrame() []byte {
+	payload := binary.LittleEndian.AppendUint64(nil, 1)
+	payload = binary.LittleEndian.AppendUint32(payload, maxRecordBytes/12)
+	payload = append(payload, make([]byte, 12)...)
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, castagnoli))
+	return append(frame, payload...)
+}
+
+// TestDecodeBatchBoundsAllocation: lengths read from a frame are
+// unverified, so neither a huge row count nor a huge payload length may
+// size an allocation before the bytes behind it have arrived.
+func TestDecodeBatchBoundsAllocation(t *testing.T) {
+	maxLen := binary.LittleEndian.AppendUint32(nil, maxRecordBytes)
+	maxLen = append(maxLen, make([]byte, 4+64)...)
+	for name, frame := range map[string][]byte{
+		"row count":      hugeRowCountFrame(),
+		"payload length": maxLen,
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeBatch(bytes.NewReader(frame))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: crafted frame decoded cleanly", name)
+		}
+		if delta := after.TotalAlloc - before.TotalAlloc; delta > 1<<20 {
+			t.Fatalf("%s: decoding a %d-byte frame allocated %d bytes", name, len(frame), delta)
+		}
+	}
+}
+
+// FuzzDecodeBatch: decoding arbitrary bytes never panics, and every frame
+// DecodeBatch accepts re-encodes byte-identically, so a corrupt frame
+// (bad CRC, bad structure) is never accepted.
+func FuzzDecodeBatch(f *testing.F) {
+	f.Add(EncodeBatch(nil, Batch{Seq: 1, Rows: testRows(0, 3)}))
+	f.Add(EncodeBatch(nil, Batch{Seq: 2, Note: "refit:dirty|dirty=4"}))
+	f.Add(EncodeBatch(nil, Batch{Seq: 3}))
+	f.Add(hugeRowCountFrame())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		b, err := DecodeBatch(r)
+		if err != nil {
+			return
+		}
+		consumed := data[:len(data)-r.Len()]
+		if again := EncodeBatch(nil, b); !bytes.Equal(again, consumed) {
+			t.Fatalf("accepted frame %x re-encodes as %x", consumed, again)
+		}
+	})
 }
 
 func TestControlRecordsSurviveReopen(t *testing.T) {

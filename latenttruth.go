@@ -334,15 +334,14 @@ type (
 	TruthRow = serve.TruthRow
 )
 
-// The available refit policies: full engine refit every time, the
-// sampling-free LTMinc fast path with periodic full re-anchoring, §5.4
-// full incremental learning on each arrived batch, or dirty-entity delta
-// refits that re-sweep only the entities the drained batches touched.
+// The available refit policies: full engine refit every time, §5.4 full
+// incremental learning on each arrived batch served through the LTMinc
+// closed form, or dirty-entity delta refits that re-sweep only the
+// entities the drained batches touched.
 const (
-	RefitFull        = serve.RefitFull
-	RefitIncremental = serve.RefitIncremental
-	RefitOnline      = serve.RefitOnline
-	RefitDirty       = serve.RefitDirty
+	RefitFull   = serve.RefitFull
+	RefitOnline = serve.RefitOnline
+	RefitDirty  = serve.RefitDirty
 )
 
 // ErrNoServeData is returned by TruthServer.Refit before any claim has
