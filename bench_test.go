@@ -24,6 +24,8 @@ import (
 	"latenttruth/internal/core"
 	"latenttruth/internal/eval"
 	"latenttruth/internal/experiments"
+	"latenttruth/internal/model"
+	"latenttruth/internal/segment"
 	"latenttruth/internal/stats"
 	"latenttruth/internal/store"
 )
@@ -1212,27 +1214,39 @@ func BenchmarkQueryTruthPaginated(b *testing.B) {
 
 // --- Disk-backed segment store: data skipping and recovery ------------------
 
-// segBenchStore seals a 16-segment corpus (entity-sorted, so each segment
+// segBenchStore writes a 16-segment corpus (entity-sorted, so each segment
 // owns a disjoint entity range and the zone maps can discriminate) and
-// returns the backend plus a mid-corpus probe entity.
+// opens a segments-kind backend over it, returning the backend plus a
+// mid-corpus probe entity. The segments are written directly rather than
+// through Seal, which would merge equal-sized segments into one.
 func segBenchStore(b *testing.B) (latenttruth.StorageBackend, string) {
 	b.Helper()
 	const segments, rowsPerSeg = 16, 16_384
-	st := store.NewSegmentBacked(b.TempDir())
+	dir := b.TempDir()
+	db := model.NewRawDB()
+	var refs []segment.Ref
 	n := 0
 	for s := 0; s < segments; s++ {
+		first := db.Len()
 		for r := 0; r < rowsPerSeg; r++ {
-			st.AddRow(latenttruth.Row{
+			db.AddRow(latenttruth.Row{
 				Entity:    fmt.Sprintf("entity-%07d", n/8),
 				Attribute: fmt.Sprintf("attribute-%d", n%8),
 				Source:    fmt.Sprintf("source-%02d", n%37),
 			})
 			n++
 		}
-		if _, err := st.Seal(uint64(s + 1)); err != nil {
+		ref, err := segment.Write(dir, uint64(s+1), first, db.Rows()[first:])
+		if err != nil {
 			b.Fatal(err)
 		}
+		refs = append(refs, ref)
 	}
+	st, err := store.OpenSegmentBacked(dir, refs, db)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { st.Close() })
 	return st, fmt.Sprintf("entity-%07d", (segments*rowsPerSeg/2)/8)
 }
 
@@ -1281,6 +1295,47 @@ func BenchmarkSegmentScanSkip(b *testing.B) {
 	ops := after.SegmentsScanned + after.SegmentsSkipped - before.SegmentsScanned - before.SegmentsSkipped
 	if ops > 0 {
 		b.ReportMetric(float64(after.SegmentsSkipped-before.SegmentsSkipped)/float64(ops)*16, "segments-skipped/op")
+	}
+}
+
+// BenchmarkSealFullMerge times the worst checkpoint seal: 2^19 rows sealed
+// earlier plus 2^19 new ones, which Seal merges into one 2^20-row segment,
+// rewriting the whole corpus from the heap rows, fsyncing and re-verifying
+// it. A server pays this under its refit lock once the rows since the
+// first segment outnumber it.
+func BenchmarkSealFullMerge(b *testing.B) {
+	const half = 1 << 19
+	dir := b.TempDir()
+	db := model.NewRawDB()
+	for n := 0; n < 2*half; n++ {
+		db.AddRow(latenttruth.Row{
+			Entity:    fmt.Sprintf("entity-%07d", (n*7919)%(2*half)/8),
+			Attribute: fmt.Sprintf("attribute-%d", n%8),
+			Source:    fmt.Sprintf("source-%02d", n%37),
+		})
+	}
+	ref, err := segment.Write(dir, 1, 0, db.Rows()[:half])
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		st, err := store.Open(store.StorageMemory, dir, []segment.Ref{ref}, db)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		refs, err := st.Seal(2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if len(refs) != 1 || refs[0].Rows != 2*half {
+			b.Fatalf("sealed %v, want one %d-row segment", refs, 2*half)
+		}
+		st.Close()
+		b.StartTimer()
 	}
 }
 

@@ -40,15 +40,17 @@
 // survives power loss, "interval" bounds loss to -fsync-interval, "never"
 // leaves syncing to the OS — all three survive a SIGKILL of the process.
 //
-// With -storage segments (requires -data-dir), checkpoints seal the
-// newly compacted claims into immutable on-disk segments — entity-sorted
-// runs with per-page CRCs, entity zone maps and source bloom filters —
-// instead of rewriting the whole corpus as CSV. Recovery reopens the
-// CRC-verified segments and replays only the short WAL tail, so restart
-// time scales with the tail, not the corpus; entity- and source-scoped
-// reads (GET /claims, dirty refits) skip every segment whose metadata
-// rules it out. Replication primaries must use -storage memory (follower
-// bootstrap ships CSV checkpoints).
+// With -data-dir, every checkpoint seals the newly compacted claims into
+// immutable on-disk segments — entity-sorted runs with per-page CRCs,
+// entity zone maps and source bloom filters — merging trailing segments
+// so their count stays logarithmic. Recovery reopens the CRC-verified
+// segments and replays only the short WAL tail, so restart time scales
+// with the tail, not the corpus. -storage picks what claim scans read:
+// "memory" scans the heap rows, "segments" (requires -data-dir) makes
+// entity- and source-scoped reads (GET /claims, dirty refits) skip every
+// segment whose metadata rules it out. Either kind reopens a data
+// directory written under the other, and primaries of either kind
+// bootstrap followers of either kind.
 //
 // With -follow, the daemon is a read replica of the given primary: it
 // bootstraps from the primary's newest checkpoint, tails the primary's
@@ -135,7 +137,7 @@ func run() error {
 		preload    = flag.String("preload", "", "triples CSV to ingest before serving (optional)")
 
 		dataDir       = flag.String("data-dir", "", "state directory for the WAL and checkpoints (empty = memory-only)")
-		storage       = flag.String("storage", "memory", "claim storage backend: memory (heap rows, CSV checkpoints) or segments (immutable on-disk segments with zone-map/bloom data skipping; requires -data-dir, recovery replays only the WAL tail)")
+		storage       = flag.String("storage", "memory", "what claim scans read: memory (heap rows) or segments (the sealed on-disk segments, with zone-map/bloom data skipping; requires -data-dir). Durable servers seal segments at every checkpoint under either kind")
 		fsync         = flag.String("fsync", "interval", "WAL fsync policy: always, interval or never")
 		fsyncInterval = flag.Duration("fsync-interval", 100*time.Millisecond, "max unsynced time under -fsync interval")
 		segmentBytes  = flag.Int64("segment-bytes", 64<<20, "WAL segment rotation size in bytes")

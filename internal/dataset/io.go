@@ -57,19 +57,6 @@ func WriteTriplesRows(w io.Writer, rows []model.Row) error {
 	if err := cw.Write(TriplesHeader); err != nil {
 		return fmt.Errorf("dataset: writing triples header: %w", err)
 	}
-	return writeTripleRecords(cw, rows)
-}
-
-// AppendTriplesRows writes rows as triples CSV records without a header.
-// Records are encoded independently, so appending the CSV of rows[n:] to
-// WriteTriplesRows(rows[:n]) yields exactly WriteTriplesRows(rows) — which
-// lets an append-only triples file grow by its new rows alone.
-func AppendTriplesRows(w io.Writer, rows []model.Row) error {
-	return writeTripleRecords(csv.NewWriter(w), rows)
-}
-
-// writeTripleRecords encodes one record per row and flushes cw.
-func writeTripleRecords(cw *csv.Writer, rows []model.Row) error {
 	rec := make([]string, 3)
 	for _, r := range rows {
 		rec[0], rec[1], rec[2] = r.Entity, r.Attribute, r.Source

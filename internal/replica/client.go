@@ -59,12 +59,16 @@ func (c *client) endpoint(path string, query url.Values) string {
 
 // checkpointBundle is a downloaded checkpoint, CRC-verified and ready to
 // install. posterior is nil when the primary's checkpoint predates
-// snapshot restoration (manifest PosteriorCRC zero).
+// snapshot restoration (manifest PosteriorCRC zero); triples is nil unless
+// the checkpoint predates segments (manifest TriplesCRC non-zero).
+// segments maps part names to bytes and holds every segment file the
+// manifest lists; installCheckpoint verifies each against its ref.
 type checkpointBundle struct {
 	manifest  wal.Manifest
 	triples   []byte
 	quality   []byte
 	posterior []byte
+	segments  map[string][]byte
 }
 
 // fetchCheckpoint downloads and verifies the primary's newest checkpoint.
@@ -107,7 +111,7 @@ func (c *client) fetchCheckpoint(ctx context.Context) (*checkpointBundle, error)
 	}
 
 	b := &checkpointBundle{triples: parts["triples.csv"], quality: parts["quality.csv"],
-		posterior: parts[wal.PosteriorName]}
+		posterior: parts[wal.PosteriorName], segments: parts}
 	raw, ok := parts["MANIFEST.json"]
 	if !ok {
 		return nil, fmt.Errorf("replica: checkpoint stream is missing MANIFEST.json")
@@ -120,6 +124,11 @@ func (c *client) fetchCheckpoint(ctx context.Context) (*checkpointBundle, error)
 	castagnoli := crc32.MakeTable(crc32.Castagnoli)
 	if got := crc32.Checksum(b.triples, castagnoli); got != b.manifest.TriplesCRC {
 		return nil, fmt.Errorf("replica: checkpoint triples CRC %08x, manifest says %08x", got, b.manifest.TriplesCRC)
+	}
+	for _, ref := range b.manifest.Segments {
+		if _, ok := parts[ref.Filename()]; !ok {
+			return nil, fmt.Errorf("replica: checkpoint stream is missing segment %s", ref.Filename())
+		}
 	}
 	if got := crc32.Checksum(b.quality, castagnoli); got != b.manifest.QualityCRC {
 		return nil, fmt.Errorf("replica: checkpoint quality CRC %08x, manifest says %08x", got, b.manifest.QualityCRC)

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"latenttruth/internal/obs"
+	"latenttruth/internal/segment"
 	"latenttruth/internal/serve"
 	"latenttruth/internal/wal"
 )
@@ -220,23 +221,33 @@ func followerID(dataDir, configured string) (string, error) {
 	return id, nil
 }
 
-// installCheckpoint writes a verified bundle into the data directory's
-// checkpoint store, preserving the primary's manifest (sequence, WAL
-// coverage, counters, config hash and policy state) so recovery restores
-// the primary's exact post-checkpoint state.
+// installCheckpoint writes a verified bundle into the data directory,
+// preserving the primary's manifest (sequence, WAL coverage, counters,
+// config hash, policy state and segment list) so recovery restores the
+// primary's exact post-checkpoint state. Every segment is written and
+// verified against its ref before the manifest is, so a crash part-way
+// never leaves a manifest without its segments.
 func installCheckpoint(dataDir string, b *checkpointBundle) error {
+	for _, ref := range b.manifest.Segments {
+		if err := segment.Install(wal.SegmentDir(dataDir), ref, b.segments[ref.Filename()]); err != nil {
+			return fmt.Errorf("replica: checkpoint segment: %w", err)
+		}
+	}
 	st, err := wal.OpenStore(wal.CheckpointDir(dataDir))
 	if err != nil {
 		return err
 	}
-	var posterior func(io.Writer) error
-	if b.posterior != nil {
-		posterior = func(w io.Writer) error { _, werr := w.Write(b.posterior); return werr }
+	raw := func(data []byte) func(io.Writer) error {
+		return func(w io.Writer) error { _, werr := w.Write(data); return werr }
 	}
-	return st.Write(b.manifest,
-		func(w io.Writer) error { _, werr := w.Write(b.triples); return werr },
-		func(w io.Writer) error { _, werr := w.Write(b.quality); return werr },
-		posterior)
+	var triples, posterior func(io.Writer) error
+	if b.triples != nil {
+		triples = raw(b.triples)
+	}
+	if b.posterior != nil {
+		posterior = raw(b.posterior)
+	}
+	return st.Write(b.manifest, triples, raw(b.quality), posterior)
 }
 
 // publish swaps the serving server (and its cached handler).
@@ -408,7 +419,7 @@ func (f *Follower) rebootstrap() error {
 		return err
 	}
 	dataDir := f.cfg.Serve.Durability.DataDir
-	dirs := []string{wal.LogDir(dataDir), wal.CheckpointDir(dataDir)}
+	dirs := []string{wal.LogDir(dataDir), wal.CheckpointDir(dataDir), wal.SegmentDir(dataDir)}
 	stage := func(dir string) string { return dir + ".pre-rebootstrap" }
 
 	f.Server().Close() // release the WAL before touching its files

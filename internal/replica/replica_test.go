@@ -13,6 +13,7 @@ import (
 	"latenttruth/internal/model"
 	"latenttruth/internal/obs"
 	"latenttruth/internal/serve"
+	"latenttruth/internal/store"
 	"latenttruth/internal/wal"
 )
 
@@ -58,7 +59,13 @@ func batchRows(i int) []model.Row {
 // newPrimary builds a durable primary with its HTTP front end.
 func newPrimary(t *testing.T, dir string) (*serve.Server, *httptest.Server) {
 	t.Helper()
-	s, err := serve.New(primaryConfig(dir))
+	return newPrimaryFrom(t, primaryConfig(dir))
+}
+
+// newPrimaryFrom builds a primary from cfg with its HTTP front end.
+func newPrimaryFrom(t *testing.T, cfg serve.Config) (*serve.Server, *httptest.Server) {
+	t.Helper()
+	s, err := serve.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,62 +143,71 @@ func mustEqualSnapshots(t *testing.T, got, want *serve.Snapshot) {
 }
 
 // TestFollowerBitIdenticalTruth is the tentpole acceptance scenario in
-// process: a follower bootstraps from the primary's checkpoint, tails its
-// WAL over real HTTP, and after replaying through the primary's refit
-// marker at sequence N serves a snapshot bit-identical to the primary's
-// snapshot N.
+// process, for a primary and a follower of either storage kind: a
+// follower bootstraps from the primary's checkpoint (its manifest and
+// segment files), tails its WAL over real HTTP, and after replaying
+// through the primary's refit marker at sequence N serves a snapshot
+// bit-identical to the primary's snapshot N.
 func TestFollowerBitIdenticalTruth(t *testing.T) {
-	prim, ts := newPrimary(t, t.TempDir())
-	ingestRefit(t, prim, 0)
-	boot := ingestRefit(t, prim, 1)
+	for _, kind := range []string{store.StorageMemory, store.StorageSegments} {
+		t.Run(kind, func(t *testing.T) {
+			pcfg := primaryConfig(t.TempDir())
+			pcfg.Storage = kind
+			prim, ts := newPrimaryFrom(t, pcfg)
+			ingestRefit(t, prim, 0)
+			boot := ingestRefit(t, prim, 1)
 
-	f, err := Start(followerConfig(ts.URL, t.TempDir()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if st := f.Stats(); !st.Bootstrapped || st.BootstrapSeq != 2 {
-		t.Fatalf("bootstrap stats %+v, want bootstrapped at seq 2", st)
-	}
-	// Before any further marker the follower already serves the snapshot
-	// restored from the primary's checkpoint: same seq, mode and
-	// posterior as the primary's.
-	mustEqualSnapshots(t, f.Server().Snapshot(), boot)
+			fcfg := followerConfig(ts.URL, t.TempDir())
+			fcfg.Serve.Storage = kind
+			f, err := Start(fcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if st := f.Stats(); !st.Bootstrapped || st.BootstrapSeq != 2 {
+				t.Fatalf("bootstrap stats %+v, want bootstrapped at seq 2", st)
+			}
+			// Before any further marker the follower already serves the snapshot
+			// restored from the primary's checkpoint: same seq, mode and
+			// posterior as the primary's.
+			mustEqualSnapshots(t, f.Server().Snapshot(), boot)
 
-	// Each primary refit ships a marker; the follower's replayed snapshot
-	// must match the primary's bit for bit, seq for seq.
-	want := ingestRefit(t, prim, 2)
-	mustEqualSnapshots(t, waitSnapshotSeq(t, f, want.Seq), want)
+			// Each primary refit ships a marker; the follower's replayed snapshot
+			// must match the primary's bit for bit, seq for seq.
+			want := ingestRefit(t, prim, 2)
+			mustEqualSnapshots(t, waitSnapshotSeq(t, f, want.Seq), want)
 
-	want = ingestRefit(t, prim, 3)
-	mustEqualSnapshots(t, waitSnapshotSeq(t, f, want.Seq), want)
+			want = ingestRefit(t, prim, 3)
+			mustEqualSnapshots(t, waitSnapshotSeq(t, f, want.Seq), want)
 
-	// Reads are served locally; writes bounce to the primary.
-	fts := httptest.NewServer(f.Handler())
-	defer fts.Close()
-	resp, err := http.Get(fts.URL + "/truth")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("follower /truth status %d", resp.StatusCode)
-	}
-	resp, err = http.Post(fts.URL+"/claims", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("follower /claims status %d, want 503", resp.StatusCode)
-	}
-	resp, err = http.Get(fts.URL + "/replication/status")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("follower /replication/status status %d", resp.StatusCode)
+			// Reads are served locally; writes bounce to the primary.
+			fts := httptest.NewServer(f.Handler())
+			defer fts.Close()
+			resp, err := http.Get(fts.URL + "/truth")
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("follower /truth status %d", resp.StatusCode)
+			}
+			resp, err = http.Post(fts.URL+"/claims", "application/json", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("follower /claims status %d, want 503", resp.StatusCode)
+			}
+			resp, err = http.Get(fts.URL + "/replication/status")
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("follower /replication/status status %d", resp.StatusCode)
+			}
+		})
 	}
 }
 

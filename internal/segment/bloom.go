@@ -27,6 +27,13 @@ func newBloom(n int) *Bloom {
 	return &Bloom{Bits: make([]byte, bits/8), K: bloomProbes}
 }
 
+// valid reports whether a filter read from disk is usable: present, with
+// 1..16 probes and a power-of-two bit length 32-bit positions address.
+func (b *Bloom) valid() bool {
+	n := len(b.Bits)
+	return b.K >= 1 && b.K <= 16 && n > 0 && n <= 1<<29 && n&(n-1) == 0
+}
+
 func bloomHash(s string) (uint32, uint32) {
 	h := fnv.New64a()
 	h.Write([]byte(s))

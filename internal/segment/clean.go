@@ -6,13 +6,13 @@ import (
 	"strings"
 )
 
-// Clean removes segment files in dir that no retained checkpoint
-// references: leftovers of a seal whose checkpoint never committed, stale
-// temp files, and segments only pruned checkpoints pointed at. It is
-// called after a checkpoint publishes, when keep is the authoritative
-// coverage; files are only ever deleted here, never at open, so a
-// recovery that falls back to an older checkpoint still finds every
-// segment it needs (older checkpoints reference prefixes of keep).
+// Clean removes segment files in dir that keep does not list: leftovers of
+// a seal whose checkpoint never committed, stale temp files, and segments
+// only pruned checkpoints pointed at. It is called after a checkpoint
+// publishes, with keep the union of every retained checkpoint's refs:
+// a seal may merge segments that older retained checkpoints still list,
+// and files are only ever deleted here, never at open, so a recovery that
+// falls back to an older checkpoint still finds every segment it needs.
 func Clean(dir string, keep []Ref) (removed int, err error) {
 	keepNames := make(map[string]struct{}, len(keep))
 	for _, r := range keep {

@@ -1,5 +1,6 @@
-// Package segment implements the immutable on-disk claim segment format
-// behind the store.Backend segment storage kind.
+// Package segment implements the immutable on-disk claim segment format:
+// the one format a durable server keeps its corpus in (store.SegmentBacked
+// seals it at every checkpoint).
 //
 // A segment holds a contiguous global-index range of raw triples, re-sorted
 // by entity name into pages of entity runs. Each page carries a CRC32C

@@ -1,13 +1,18 @@
 package segment
 
 import (
+	"bufio"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"runtime"
+	"slices"
+	"strings"
 
 	"latenttruth/internal/model"
 )
@@ -67,43 +72,44 @@ type footer struct {
 	Sources   *Bloom     `json:"source_bloom"`
 }
 
-// indexedRow pairs a row with its global insertion index so entity-sorting
-// for locality never loses the order the corpus was ingested in.
-type indexedRow struct {
-	global int
-	row    model.Row
-}
-
 // Write seals rows (insertion order, global indices firstRow..firstRow+n-1)
 // into an immutable segment file at dir/seg-<id>.seg and returns its Ref.
 // Rows are stably re-sorted by entity name so each entity's claims form one
 // contiguous run; pages are cut at ~64KiB with per-page CRC32C and entity
-// zone entries. The file is written to a temp name, fsynced, and renamed
-// into place — an orphan left by a crashed earlier seal of the same id is
-// silently replaced, never appended to.
+// zone entries. The file is written through publish, so an orphan left by
+// a crashed earlier seal of the same id is silently replaced.
 func Write(dir string, id uint64, firstRow int, rows []model.Row) (Ref, error) {
-	if len(rows) == 0 {
-		return Ref{}, fmt.Errorf("segment: refusing to seal empty segment %d", id)
+	if len(rows) == 0 || len(rows) > math.MaxInt32 {
+		return Ref{}, fmt.Errorf("segment: refusing to seal %d rows into segment %d", len(rows), id)
 	}
-	idx := make([]indexedRow, len(rows))
-	for i, r := range rows {
-		idx[i] = indexedRow{global: firstRow + i, row: r}
+	// Sort row positions rather than row copies: 4 bytes per row keeps the
+	// transient memory of sealing a large corpus small. Ties keep
+	// insertion order, so the sort is stable.
+	order := make([]int32, len(rows))
+	for i := range order {
+		order[i] = int32(i)
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return idx[a].row.Entity < idx[b].row.Entity })
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := strings.Compare(rows[a].Entity, rows[b].Entity); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	entity := func(i int) string { return rows[order[i]].Entity }
 
 	ft := footer{
 		Format:    formatVersion,
 		ID:        id,
 		Rows:      len(rows),
 		FirstRow:  firstRow,
-		MinEntity: idx[0].row.Entity,
-		MaxEntity: idx[len(idx)-1].row.Entity,
+		MinEntity: entity(0),
+		MaxEntity: entity(len(order) - 1),
 	}
 	// Distinct-key counts size the blooms; entities come from run
 	// boundaries of the sorted order, sources need a set.
 	entities := 1
-	for i := 1; i < len(idx); i++ {
-		if idx[i].row.Entity != idx[i-1].row.Entity {
+	for i := 1; i < len(order); i++ {
+		if entity(i) != entity(i-1) {
 			entities++
 		}
 	}
@@ -113,122 +119,152 @@ func Write(dir string, id uint64, firstRow int, rows []model.Row) (Ref, error) {
 	}
 	ft.Entities = newBloom(entities)
 	ft.Sources = newBloom(len(srcSet))
-	for i, ir := range idx {
-		if i == 0 || ir.row.Entity != idx[i-1].row.Entity {
-			ft.Entities.Add(ir.row.Entity)
+	for i := range order {
+		if i == 0 || entity(i) != entity(i-1) {
+			ft.Entities.Add(entity(i))
 		}
 	}
 	for s := range srcSet {
 		ft.Sources.Add(s)
 	}
 
-	var body []byte
-	var page []byte
-	var scratch [binary.MaxVarintLen64]byte
-	pageStart := 0
-	prevEntity := ""
-	flush := func(endExclusive int) {
-		if len(page) == 0 {
-			return
+	ref := Ref{ID: id, Rows: len(rows), FirstRow: firstRow}
+	err := publish(dir, ref.Filename(), func(w *bufio.Writer) error {
+		// Pages stream to the file as they fill, so the body is never
+		// held in memory whole.
+		var page []byte
+		var off int64
+		pageStart := 0
+		prevEntity := ""
+		flush := func(endExclusive int) {
+			if len(page) == 0 {
+				return
+			}
+			ft.Pages = append(ft.Pages, pageMeta{
+				Off:       off,
+				Len:       len(page),
+				Rows:      endExclusive - pageStart,
+				CRC:       crc32.Checksum(page, castagnoli),
+				MinEntity: entity(pageStart),
+				MaxEntity: entity(endExclusive - 1),
+			})
+			w.Write(page)
+			off += int64(len(page))
+			page = page[:0]
+			pageStart = endExclusive
+			prevEntity = ""
 		}
-		ft.Pages = append(ft.Pages, pageMeta{
-			Off:       int64(len(body)),
-			Len:       len(page),
-			Rows:      endExclusive - pageStart,
-			CRC:       crc32.Checksum(page, castagnoli),
-			MinEntity: idx[pageStart].row.Entity,
-			MaxEntity: idx[endExclusive-1].row.Entity,
-		})
-		body = append(body, page...)
-		page = page[:0]
-		pageStart = endExclusive
-		prevEntity = ""
-	}
-	putUvarint := func(v uint64) {
-		n := binary.PutUvarint(scratch[:], v)
-		page = append(page, scratch[:n]...)
-	}
-	putString := func(s string) {
-		putUvarint(uint64(len(s)))
-		page = append(page, s...)
-	}
-	for i, ir := range idx {
-		putUvarint(uint64(ir.global - firstRow))
-		// A zero entity length means "same entity as the previous row of
-		// this page" — legal because empty components are rejected at Add.
-		if ir.row.Entity == prevEntity {
-			putUvarint(0)
-		} else {
-			putString(ir.row.Entity)
-			prevEntity = ir.row.Entity
+		putString := func(s string) {
+			page = binary.AppendUvarint(page, uint64(len(s)))
+			page = append(page, s...)
 		}
-		putString(ir.row.Attribute)
-		putString(ir.row.Source)
-		if len(page) >= targetPageBytes {
-			flush(i + 1)
+		for i, pos := range order {
+			r := rows[pos]
+			page = binary.AppendUvarint(page, uint64(pos))
+			// A zero entity length means "same entity as the previous row of
+			// this page" — legal because empty components are rejected at Add.
+			if r.Entity == prevEntity {
+				page = binary.AppendUvarint(page, 0)
+			} else {
+				putString(r.Entity)
+				prevEntity = r.Entity
+			}
+			putString(r.Attribute)
+			putString(r.Source)
+			if len(page) >= targetPageBytes {
+				flush(i + 1)
+			}
 		}
-	}
-	flush(len(idx))
-
-	ftJSON, err := json.Marshal(ft)
+		flush(len(order))
+		ftJSON, err := json.Marshal(ft)
+		if err != nil {
+			return fmt.Errorf("segment: encoding footer: %w", err)
+		}
+		ref.CRC = crc32.Checksum(ftJSON, castagnoli)
+		ref.Bytes = off + int64(len(ftJSON)) + trailerLen
+		var trailer [trailerLen]byte
+		binary.LittleEndian.PutUint32(trailer[0:4], uint32(len(ftJSON)))
+		binary.LittleEndian.PutUint32(trailer[4:8], ref.CRC)
+		copy(trailer[8:], Magic)
+		w.Write(ftJSON)
+		w.Write(trailer[:])
+		return nil
+	})
 	if err != nil {
-		return Ref{}, fmt.Errorf("segment: encoding footer: %w", err)
+		return Ref{}, err
 	}
-	ftCRC := crc32.Checksum(ftJSON, castagnoli)
-	var trailer [trailerLen]byte
-	binary.LittleEndian.PutUint32(trailer[0:4], uint32(len(ftJSON)))
-	binary.LittleEndian.PutUint32(trailer[4:8], ftCRC)
-	copy(trailer[8:], Magic)
+	return ref, nil
+}
 
-	ref := Ref{
-		ID:       id,
-		Rows:     len(rows),
-		FirstRow: firstRow,
-		Bytes:    int64(len(body) + len(ftJSON) + trailerLen),
-		CRC:      ftCRC,
+// Install writes a segment file received from elsewhere (a replication
+// primary) into dir under ref's name and verifies it completely with Open,
+// so a file that does not match ref is an error, never a served segment.
+func Install(dir string, ref Ref, data []byte) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("segment: %w", err)
 	}
+	if err := publish(dir, ref.Filename(), func(w *bufio.Writer) error {
+		w.Write(data)
+		return nil
+	}); err != nil {
+		return err
+	}
+	s, err := Open(dir, ref)
+	if err != nil {
+		return err
+	}
+	return s.Close()
+}
 
-	final := filepath.Join(dir, ref.Filename())
+// publish writes dir/name through write into a temporary file that is
+// fsynced and renamed into place, then fsyncs dir. An orphan left by a
+// crashed earlier write of the same name is replaced, never appended to.
+// write may ignore w's write errors: they are sticky, and publish reports
+// them when it flushes.
+func publish(dir, name string, write func(w *bufio.Writer) error) error {
+	final := filepath.Join(dir, name)
 	tmp := final + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
-		return Ref{}, fmt.Errorf("segment: creating %s: %w", tmp, err)
+		return fmt.Errorf("segment: creating %s: %w", tmp, err)
 	}
-	for _, b := range [][]byte{body, ftJSON, trailer[:]} {
-		if _, err := f.Write(b); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return Ref{}, fmt.Errorf("segment: writing %s: %w", tmp, err)
-		}
+	bw := bufio.NewWriterSize(f, targetPageBytes)
+	err = write(bw)
+	if err == nil {
+		err = bw.Flush()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, final)
+	}
+	if err != nil {
 		os.Remove(tmp)
-		return Ref{}, fmt.Errorf("segment: syncing %s: %w", tmp, err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return Ref{}, fmt.Errorf("segment: closing %s: %w", tmp, err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return Ref{}, fmt.Errorf("segment: publishing %s: %w", final, err)
+		return fmt.Errorf("segment: writing %s: %w", final, err)
 	}
 	if d, err := os.Open(dir); err == nil {
 		d.Sync()
 		d.Close()
 	}
-	return ref, nil
+	return nil
 }
 
 // Segment is an open, fully verified segment. All reads go through the
 // (possibly memory-mapped) file image; a Segment is immutable and safe for
-// concurrent use.
+// concurrent use. A Segment that is dropped without Close is unmapped by
+// the garbage collector once nothing can reach it, so a reader holding a
+// segment a later seal replaced keeps a valid mapping for as long as it
+// holds it.
 type Segment struct {
-	ref   Ref
-	ft    footer
-	data  []byte
-	unmap func() error
+	ref     Ref
+	ft      footer
+	data    []byte
+	unmap   func() error
+	cleanup runtime.Cleanup
 }
 
 // Open maps dir/seg-<id>.seg and verifies it completely: trailing magic,
@@ -257,6 +293,7 @@ func Open(dir string, ref Ref) (*Segment, error) {
 		return nil, fmt.Errorf("segment: mapping %s: %w", path, err)
 	}
 	s := &Segment{ref: ref, data: data, unmap: unmap}
+	s.cleanup = runtime.AddCleanup(s, func(unmap func() error) { unmap() }, unmap)
 	if err := s.verify(path); err != nil {
 		s.Close()
 		return nil, err
@@ -295,10 +332,19 @@ func (s *Segment) verify(path string) error {
 		return fmt.Errorf("segment: %s identity (id=%d rows=%d first=%d) does not match manifest (id=%d rows=%d first=%d)",
 			path, s.ft.ID, s.ft.Rows, s.ft.FirstRow, s.ref.ID, s.ref.Rows, s.ref.FirstRow)
 	}
+	if s.ft.Entities == nil || s.ft.Sources == nil || !s.ft.Entities.valid() || !s.ft.Sources.valid() {
+		return fmt.Errorf("segment: %s has a malformed bloom filter", path)
+	}
 	rows := 0
 	for i, p := range s.ft.Pages {
-		if p.Off < 0 || p.Len <= 0 || p.Off+int64(p.Len) > int64(ftStart) {
+		// Len <= ftStart-Off cannot overflow where Off+Len can. Every row
+		// encodes to at least one byte, so Rows <= Len bounds the row count
+		// (and any buffer sized from it) by the file size.
+		if p.Off < 0 || p.Off > int64(ftStart) || p.Len <= 0 || int64(p.Len) > int64(ftStart)-p.Off {
 			return fmt.Errorf("segment: %s page %d extent [%d,+%d) out of bounds", path, i, p.Off, p.Len)
+		}
+		if p.Rows < 1 || p.Rows > p.Len {
+			return fmt.Errorf("segment: %s page %d claims %d rows in %d bytes", path, i, p.Rows, p.Len)
 		}
 		if got := crc32.Checksum(s.data[p.Off:p.Off+int64(p.Len)], castagnoli); got != p.CRC {
 			return fmt.Errorf("segment: %s page %d CRC mismatch: got %08x want %08x", path, i, got, p.CRC)
@@ -311,19 +357,18 @@ func (s *Segment) verify(path string) error {
 	return nil
 }
 
-// Close releases the file mapping.
+// Close releases the file mapping now instead of when the segment becomes
+// unreachable. The caller must ensure no reader still uses the segment.
 func (s *Segment) Close() error {
 	if s.unmap == nil {
 		return nil
 	}
+	s.cleanup.Stop()
 	u := s.unmap
 	s.unmap = nil
 	s.data = nil
 	return u()
 }
-
-// Ref returns the segment's manifest reference.
-func (s *Segment) Ref() Ref { return s.ref }
 
 // Pages returns the number of pages in the segment.
 func (s *Segment) Pages() int { return len(s.ft.Pages) }
@@ -354,9 +399,11 @@ func (s *Segment) OverlapsEntityRange(lo, hi string) bool {
 }
 
 // decodePage decodes one page, calling fn for every row with its global
-// index. Decode errors are reported, not panicked: CRC verification at
-// open makes them unreachable short of a writer bug, but a reader must
-// never trust length prefixes unchecked.
+// index, which is guaranteed to lie in [FirstRow, FirstRow+Rows). Decode
+// errors are reported, not panicked: CRC verification at open makes them
+// unreachable short of a writer bug, but a reader must never trust length
+// prefixes or indexes unchecked. Callers keep s alive until it returns
+// (runtime.KeepAlive), because buf points into the mapping.
 func (s *Segment) decodePage(p pageMeta, fn func(global int, r model.Row)) error {
 	buf := s.data[p.Off : p.Off+int64(p.Len)]
 	entity := ""
@@ -371,7 +418,7 @@ func (s *Segment) decodePage(p pageMeta, fn func(global int, r model.Row)) error
 	}
 	for i := 0; i < p.Rows; i++ {
 		delta, w := binary.Uvarint(buf)
-		if w <= 0 {
+		if w <= 0 || delta >= uint64(s.ft.Rows) {
 			return fmt.Errorf("segment: %d: corrupt row index in page", s.ref.ID)
 		}
 		buf = buf[w:]
@@ -389,6 +436,9 @@ func (s *Segment) decodePage(p pageMeta, fn func(global int, r model.Row)) error
 		src, err := readString()
 		if err != nil {
 			return err
+		}
+		if entity == "" || a == "" || src == "" {
+			return fmt.Errorf("segment: %d: row with an empty component in page", s.ref.ID)
 		}
 		fn(s.ft.FirstRow+int(delta), model.Row{Entity: entity, Attribute: a, Source: src})
 	}
@@ -421,6 +471,7 @@ func (s *Segment) ScanEntities(probe map[string]struct{}, fn func(model.Row)) (i
 			return decoded, err
 		}
 	}
+	runtime.KeepAlive(s)
 	return decoded, nil
 }
 
@@ -442,6 +493,7 @@ func (s *Segment) ScanEntityRange(lo, hi string, fn func(model.Row)) (int, error
 			return decoded, err
 		}
 	}
+	runtime.KeepAlive(s)
 	return decoded, nil
 }
 
@@ -460,20 +512,38 @@ func (s *Segment) ScanSource(name string, fn func(model.Row)) (int, error) {
 			return decoded, err
 		}
 	}
+	runtime.KeepAlive(s)
 	return decoded, nil
 }
 
 // ReadRows decodes the whole segment, placing each row at its global
 // insertion index in dst. dst must cover [FirstRow, FirstRow+Rows); this
 // is the recovery path that reconstructs exact RawDB order from
-// entity-sorted storage.
+// entity-sorted storage. Every slot of that range is filled exactly once,
+// or ReadRows returns an error.
 func (s *Segment) ReadRows(dst []model.Row) error {
+	first, n := s.ft.FirstRow, s.ft.Rows
+	if first < 0 || first > len(dst) || n > len(dst)-first {
+		return fmt.Errorf("segment: %d: rows [%d,+%d) do not fit a %d-row destination", s.ref.ID, first, n, len(dst))
+	}
+	defer runtime.KeepAlive(s)
+	seen := make([]bool, n)
 	for _, p := range s.ft.Pages {
+		dup := -1
 		if err := s.decodePage(p, func(global int, r model.Row) {
+			if seen[global-first] {
+				dup = global
+			}
+			seen[global-first] = true
 			dst[global] = r
 		}); err != nil {
 			return err
 		}
+		if dup >= 0 {
+			return fmt.Errorf("segment: %d: row %d stored twice", s.ref.ID, dup)
+		}
 	}
+	// Open checked that the pages hold Rows rows in total, so with no
+	// slot written twice every slot was written once.
 	return nil
 }

@@ -1,7 +1,11 @@
 package segment
 
 import (
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -317,5 +321,157 @@ func sortRows(rs []model.Row) {
 			return a.Attribute < b.Attribute
 		}
 		return a.Source < b.Source
+	})
+}
+
+// assemble builds a segment file image from a page body and a footer,
+// with valid page and footer CRCs, the way Write lays one out.
+func assemble(body []byte, ft footer) []byte {
+	for i := range ft.Pages {
+		p := &ft.Pages[i]
+		if p.Off >= 0 && p.Off <= int64(len(body)) && p.Len >= 0 && int64(p.Len) <= int64(len(body))-p.Off {
+			p.CRC = crc32.Checksum(body[p.Off:p.Off+int64(p.Len)], castagnoli)
+		}
+	}
+	ftJSON, err := json.Marshal(ft)
+	if err != nil {
+		panic(err)
+	}
+	out := append(append([]byte(nil), body...), ftJSON...)
+	var tr [trailerLen]byte
+	binary.LittleEndian.PutUint32(tr[0:4], uint32(len(ftJSON)))
+	binary.LittleEndian.PutUint32(tr[4:8], crc32.Checksum(ftJSON, castagnoli))
+	copy(tr[8:], Magic)
+	return append(out, tr[:]...)
+}
+
+// craftedFooter is a one-page, one-row footer over a body of n bytes.
+func craftedFooter(n int) footer {
+	ents, srcs := newBloom(1), newBloom(1)
+	ents.Add("e")
+	srcs.Add("s")
+	return footer{Format: formatVersion, ID: 1, Rows: 1, MinEntity: "e", MaxEntity: "e",
+		Pages:    []pageMeta{{Off: 0, Len: n, Rows: 1, MinEntity: "e", MaxEntity: "e"}},
+		Entities: ents, Sources: srcs}
+}
+
+// oneRowPage encodes one row (index delta, entity, attribute, source) in
+// the page encoding Write uses.
+func oneRowPage(delta uint64) []byte {
+	page := binary.AppendUvarint(nil, delta)
+	for _, s := range []string{"e", "a", "s"} {
+		page = binary.AppendUvarint(page, uint64(len(s)))
+		page = append(page, s...)
+	}
+	return page
+}
+
+// crafted returns CRC-valid segment images that once made the decoder
+// panic or spin: a page extent whose end overflows int64, a row index past
+// the segment's row count, and a bloom filter with an enormous probe count.
+func crafted() map[string][]byte {
+	body := oneRowPage(0)
+	overflow := craftedFooter(len(body))
+	overflow.Pages[0].Off, overflow.Pages[0].Len = math.MaxInt64, 1
+	badIndex := craftedFooter(len(body))
+	hugeK := craftedFooter(len(body))
+	hugeK.Sources.K = 1 << 40
+	return map[string][]byte{
+		"extent overflow":  assemble(body, overflow),
+		"index past rows":  assemble(oneRowPage(5), badIndex),
+		"bloom probe bomb": assemble(body, hugeK),
+	}
+}
+
+// refFor reads the identity a segment image's footer claims, so Open's
+// manifest cross-check compares the file against itself; images without
+// a parseable footer get a placeholder ref and must simply fail to open.
+func refFor(data []byte) Ref {
+	ref := Ref{ID: 1}
+	if len(data) < trailerLen {
+		return ref
+	}
+	ftLen := int(binary.LittleEndian.Uint32(data[len(data)-trailerLen:]))
+	if ftLen <= 0 || ftLen > len(data)-trailerLen {
+		return ref
+	}
+	var ft footer
+	if json.Unmarshal(data[len(data)-trailerLen-ftLen:len(data)-trailerLen], &ft) != nil {
+		return ref
+	}
+	return Ref{ID: ft.ID, Rows: ft.Rows, FirstRow: ft.FirstRow}
+}
+
+// TestCraftedSegmentsRejected pins the decoder's bounds checks on the
+// crafted images: each either fails to open or fails ReadRows, and none
+// panics.
+func TestCraftedSegmentsRejected(t *testing.T) {
+	for name, data := range crafted() {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			ref := refFor(data)
+			if err := os.WriteFile(filepath.Join(dir, ref.Filename()), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(dir, ref)
+			if err != nil {
+				return
+			}
+			defer s.Close()
+			if err := s.ReadRows(make([]model.Row, ref.FirstRow+ref.Rows)); err == nil {
+				t.Fatal("crafted segment opened and decoded without error")
+			}
+		})
+	}
+}
+
+// FuzzSegmentOpen feeds arbitrary bytes to Open and ReadRows. Neither may
+// panic, and a file that opens and decodes must yield exactly its Rows
+// rows, each with three non-empty components.
+func FuzzSegmentOpen(f *testing.F) {
+	dir := f.TempDir()
+	ref, err := Write(dir, 9, 3, testRows(12, 4, 3))
+	if err != nil {
+		f.Fatal(err)
+	}
+	sealed, err := os.ReadFile(filepath.Join(dir, ref.Filename()))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sealed)
+	for _, data := range crafted() {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ref := refFor(data)
+		path := filepath.Join(dir, ref.Filename())
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		defer os.Remove(path)
+		s, err := Open(dir, ref)
+		if err != nil {
+			return
+		}
+		defer s.Close()
+		s.MayContainEntity("e")
+		s.MayContainSource("s")
+		if ref.FirstRow < 0 || ref.FirstRow > 1<<16 {
+			// Too far out to allocate a destination for; a short one
+			// must be refused, not indexed past.
+			if s.ReadRows(nil) == nil {
+				t.Fatalf("ReadRows accepted a destination short of first row %d", ref.FirstRow)
+			}
+			return
+		}
+		dst := make([]model.Row, ref.FirstRow+ref.Rows)
+		if err := s.ReadRows(dst); err != nil {
+			return
+		}
+		for i, r := range dst[ref.FirstRow:] {
+			if r.Entity == "" || r.Attribute == "" || r.Source == "" {
+				t.Fatalf("row %d decoded with an empty component: %+v", ref.FirstRow+i, r)
+			}
+		}
 	})
 }

@@ -25,8 +25,9 @@ import (
 // value (empty DataDir) keeps the server memory-only: a restart then loses
 // all ingested state, exactly the pre-durability behavior.
 type Durability struct {
-	// DataDir is the state directory; the WAL lives in DataDir/wal and
-	// checkpoints in DataDir/checkpoints. Empty disables durability.
+	// DataDir is the state directory; the WAL lives in DataDir/wal,
+	// checkpoints in DataDir/checkpoints and the sealed claim segments in
+	// DataDir/segments. Empty disables durability.
 	DataDir string
 	// Fsync is the WAL fsync policy (default wal.SyncInterval): "always"
 	// survives power loss per acknowledged batch, "interval" bounds loss to
@@ -79,21 +80,12 @@ type durable struct {
 	lastSeq       atomic.Int64
 	lastWALSeq    atomic.Uint64
 	lastDurationN atomic.Int64 // nanoseconds
-
-	// prevTriples is the newest checkpoint this process wrote on the
-	// memory backend and prevRows the row count its triples.csv covers:
-	// the next checkpoint copies that file (CRC-checked) and appends only
-	// the rows ingested since. Nil when there is no such checkpoint (first
-	// checkpoint, recovery, segment storage, or the last attempt failed).
-	// Touched only under Server.mu.
-	prevTriples *wal.Checkpoint
-	prevRows    int
 }
 
 // configHash fingerprints every configuration field that shapes the model
 // state a checkpoint captures. Restoring policy state under a different
 // fingerprint would silently change inference, so recovery drops the
-// accumulated quality (keeping the triples, which are config-independent)
+// accumulated quality (keeping the corpus, which is config-independent)
 // when the hash differs.
 func configHash(c Config) string {
 	h := sha256.New()
@@ -140,39 +132,23 @@ func (s *Server) openDurable() error {
 	}
 	d.checkpoints.Store(int64(rec.Store.Count()))
 
-	// Reconcile the configured storage kind with what the directory was
-	// written by: adopting a memory checkpoint under -storage=segments (or
-	// vice versa) would be a silent format migration, so it errors loudly.
-	// A cold directory accepts either kind.
-	diskKind := rec.Storage
-	if diskKind == "" && rec.Checkpoint != nil {
-		diskKind = store.StorageMemory
-	}
-	if diskKind != "" && diskKind != s.cfg.Storage {
+	// Either kind opens either directory: the segments on disk are the same,
+	// the kind only picks what readers scan.
+	segDir := wal.SegmentDir(dcfg.DataDir)
+	if err := os.MkdirAll(segDir, 0o755); err != nil {
 		rec.Log.Close()
-		return fmt.Errorf("serve: %s was written by storage kind %q but the server is configured for %q; refusing to mix formats",
-			dcfg.DataDir, diskKind, s.cfg.Storage)
+		return fmt.Errorf("serve: creating segment directory: %w", err)
 	}
-	switch s.cfg.Storage {
-	case store.StorageSegments:
-		segDir := wal.SegmentDir(dcfg.DataDir)
-		if err := os.MkdirAll(segDir, 0o755); err != nil {
-			rec.Log.Close()
-			return fmt.Errorf("serve: creating segment directory: %w", err)
-		}
-		sb, err := store.OpenSegmentBacked(segDir, rec.Segments, rec.DB)
-		if err != nil {
-			rec.Log.Close()
-			return fmt.Errorf("serve: opening segments under %s: %w", dcfg.DataDir, err)
-		}
-		s.db = sb
-		if n := len(rec.Segments); n > 0 {
-			st := sb.Stats()
-			s.logf("serve: storage=segments: opened %d segments (%d rows on disk, %d bytes, no CSV replay)",
-				n, st.OnDisk, st.SegmentBytes)
-		}
-	default:
-		s.db = store.NewMemoryFrom(rec.DB)
+	db, err := store.Open(s.cfg.Storage, segDir, rec.Segments, rec.DB)
+	if err != nil {
+		rec.Log.Close()
+		return fmt.Errorf("serve: opening segments under %s: %w", dcfg.DataDir, err)
+	}
+	s.db = db
+	if n := len(rec.Segments); n > 0 {
+		st := db.Stats()
+		s.logf("serve: storage=%s: opened %d segments (%d rows on disk, %d bytes, no CSV replay)",
+			s.cfg.Storage, n, st.OnDisk, st.SegmentBytes)
 	}
 	s.ingest.log = rec.Log
 	if cp := rec.Checkpoint; cp != nil {
@@ -259,8 +235,8 @@ func (s *Server) openDurable() error {
 }
 
 // restoreSnapshot reconstructs the checkpointed serving snapshot: the
-// dataset is rebuilt from the recovered database (checkpoint triples only
-// at this point — the tail replays after), the posterior comes from the
+// dataset is rebuilt from the recovered database (checkpoint rows only at
+// this point — the tail replays after), the posterior comes from the
 // checkpoint's posterior.csv bit-exactly, and the quality table from the
 // restored accumulator. Checkpoints without a posterior (pre-existing
 // directories) restore nothing and the server starts unpublished, exactly
@@ -297,27 +273,14 @@ func (s *Server) restoreSnapshot(cp *wal.Checkpoint) error {
 }
 
 // checkpoint persists the just-published snapshot's inputs and advances
-// the log: manifest + triples + quality land atomically in the checkpoint
-// store, old checkpoints beyond the retention count are pruned, and WAL
-// segments covered by every surviving checkpoint are deleted. Called under
-// Server.mu right after the snapshot swap. A checkpoint failure does not
-// fail the refit — the snapshot is already live and the WAL still covers
-// everything — it is logged and counted for /durability.
-//
-// Cost note: under memory storage triples.csv holds the whole cumulative
-// database, but it is not re-encoded per refit. Rows are append-only, so
-// each checkpoint byte-copies the previous triples.csv this process wrote
-// (verifying its CRC32C against that checkpoint's manifest while copying)
-// and encodes only the rows ingested since: CSV work is O(new rows) and
-// the rest is a sequential O(history) file copy. A CRC mismatch fails the
-// checkpoint loudly and the next one re-encodes from Rows(), as does the
-// first checkpoint of a process (no previous file of its own). Segment
-// storage goes further: rows sealed by earlier checkpoints live in
-// immutable segment files that are simply referenced again, and only the
-// tail ingested since the previous checkpoint is sealed into one new
-// segment — O(new rows) per checkpoint, copy included, with the same
-// bit-identical restart guarantee. posterior.csv is still rewritten whole
-// (O(facts)) by both kinds.
+// the log: the rows ingested since the previous checkpoint are sealed into
+// a segment, then manifest + quality + posterior land atomically in the
+// checkpoint store, old checkpoints beyond the retention count are pruned,
+// and WAL records and segment files no retained checkpoint needs are
+// deleted. Called under Server.mu right after the snapshot swap. A
+// checkpoint failure does not fail the refit — the snapshot is already
+// live and the WAL still covers everything — it is logged and counted for
+// /durability.
 func (s *Server) checkpoint(snap *Snapshot) {
 	d := s.dur
 	start := time.Now()
@@ -338,46 +301,18 @@ func (s *Server) checkpoint(snap *Snapshot) {
 		return
 	}
 	m.Policy = state
-	// Corpus coverage: the segment backend seals the rows ingested since
-	// the previous checkpoint into one new immutable segment and records
-	// the full (append-only) segment list in the manifest instead of a
-	// CSV copy; the memory backend writes the whole corpus as triples.csv.
-	var triples func(io.Writer) error
-	rows := 0
-	if sb, ok := s.db.(*store.SegmentBacked); ok {
-		refs, err := sb.Seal(uint64(snap.Seq))
-		if err != nil {
-			s.checkpointFailed(fmt.Errorf("sealing segment: %w", err))
-			return
-		}
-		m.Storage = store.StorageSegments
-		m.Segments = refs
-	} else {
-		all := s.db.Rows()
-		rows = len(all)
-		triples = func(w io.Writer) error { return dataset.WriteTriplesRows(w, all) }
-		if prev := d.prevTriples; prev != nil && d.prevRows <= rows {
-			// Rows are append-only, so the previous triples.csv is a byte
-			// prefix of this one: copy it, verifying its CRC on the way,
-			// and encode only the rows ingested since.
-			n := d.prevRows
-			triples = func(w io.Writer) error {
-				if err := prev.CopyTriples(w); err != nil {
-					return err
-				}
-				return dataset.AppendTriplesRows(w, all[n:])
-			}
-		}
+	// Rows sealed by earlier checkpoints stay in their immutable segments;
+	// only the tail ingested since is sealed (merging trailing segments
+	// when that keeps their number logarithmic).
+	if m.Segments, err = s.db.Seal(uint64(snap.Seq)); err != nil {
+		s.checkpointFailed(fmt.Errorf("sealing segment: %w", err))
+		return
 	}
-	// Until this checkpoint is known good, the next one encodes from
-	// Rows(): a failed attempt (a CRC mismatch above included) must never
-	// become the prefix of a later file.
-	d.prevTriples = nil
 	// The posterior makes the checkpoint a full snapshot restore point:
 	// recovery (and a bootstrapping follower) reconstructs the published
 	// probabilities bit-exactly, so a subsequent dirty refit extends the
 	// same previous posterior the primary extended.
-	err = d.store.Write(m, triples,
+	err = d.store.Write(m, nil,
 		func(w io.Writer) error { return dataset.WriteQuality(w, s.online.Quality()) },
 		func(w io.Writer) error { return dataset.WritePosterior(w, snap.Dataset, snap.Result.Prob) })
 	if err != nil {
@@ -388,9 +323,6 @@ func (s *Server) checkpoint(snap *Snapshot) {
 	if err != nil || len(left) == 0 {
 		s.checkpointFailed(fmt.Errorf("pruning checkpoints: %w", err))
 		return
-	}
-	if newest := left[len(left)-1]; triples != nil && newest.Manifest.Seq == m.Seq {
-		d.prevTriples, d.prevRows = &newest, rows
 	}
 	// Evict dead or hopelessly lagging follower cursors first, so one
 	// stuck follower cannot pin the WAL forever (it re-bootstraps from a
@@ -405,17 +337,17 @@ func (s *Server) checkpoint(snap *Snapshot) {
 		s.checkpointFailed(err)
 		return
 	}
-	// With the new checkpoint published and older ones pruned, any segment
-	// file the newest manifest does not reference is garbage — a seal
-	// whose checkpoint never committed, or a stale temp. (Retained older
-	// checkpoints reference prefixes of the newest list, so keeping only
-	// the newest coverage is safe for fallback recovery.)
-	if len(m.Segments) > 0 {
-		if n, err := segment.Clean(wal.SegmentDir(d.cfg.DataDir), m.Segments); err != nil {
-			s.warnf("serve: cleaning orphan segments: %v", err)
-		} else if n > 0 {
-			s.logf("serve: removed %d orphan segment file(s)", n)
-		}
+	// Any segment file no retained checkpoint lists is garbage: a seal
+	// whose checkpoint never committed, a stale temp, or a segment merged
+	// away before the oldest retained checkpoint.
+	var keep []segment.Ref
+	for _, cp := range left {
+		keep = append(keep, cp.Manifest.Segments...)
+	}
+	if n, err := segment.Clean(wal.SegmentDir(d.cfg.DataDir), keep); err != nil {
+		s.warnf("serve: cleaning orphan segments: %v", err)
+	} else if n > 0 {
+		s.logf("serve: removed %d orphan segment file(s)", n)
 	}
 	d.checkpoints.Store(int64(len(left)))
 	d.lastSeq.Store(m.Seq)

@@ -97,9 +97,6 @@ const (
 	// codeFollowerAhead: the follower holds records past this primary's log
 	// head — primary state was lost or replaced (409).
 	codeFollowerAhead = "follower_ahead"
-	// codeStorageUnsupported: the operation is not implemented for this
-	// storage backend (501).
-	codeStorageUnsupported = "storage_unsupported"
 )
 
 // rejectOnFollower writes the 503 a write endpoint returns in follower

@@ -57,15 +57,11 @@ func (l *ingestLog) markDirty(rows []model.Row) {
 	}
 }
 
-// validateRow rejects triples that the data model cannot represent.
-// Carriage returns and newlines are rejected because checkpoint files are
-// CSV and Go's CSV reader normalizes \r\n inside quoted fields — allowing
-// them would break the bit-exact recovery guarantee.
-func validateRow(r model.Row) error { return ValidateRow(r) }
-
 // ValidateRow rejects triples that the serving data model cannot
-// represent: empty components, and carriage returns or newlines (which
-// would break CSV checkpoint round-trips). It is exported so a cluster
+// represent: empty components, and carriage returns or newlines. Triples
+// CSV is still the preload, export and legacy-checkpoint format, and Go's
+// CSV reader normalizes \r\n inside quoted fields, so a line break would
+// not survive a round trip through it bit-exactly. It is exported so a cluster
 // router can pre-validate a batch before splitting it across partitions —
 // rejecting the whole batch up front preserves the all-or-nothing ingest
 // contract across a fan-out.
@@ -100,7 +96,7 @@ func (e badBatchError) Unwrap() error { return e.err }
 // replay depends on this: a batch is on disk iff it was acknowledged.)
 func (l *ingestLog) Append(rows []model.Row) (int, error) {
 	for i, r := range rows {
-		if err := validateRow(r); err != nil {
+		if err := ValidateRow(r); err != nil {
 			return 0, badBatchError{fmt.Errorf("claim %d: %w", i, err)}
 		}
 	}
@@ -130,7 +126,7 @@ func (l *ingestLog) Append(rows []model.Row) (int, error) {
 // watermark without contributing rows.
 func (l *ingestLog) appendReplicated(b wal.Batch) error {
 	for i, r := range b.Rows {
-		if err := validateRow(r); err != nil {
+		if err := ValidateRow(r); err != nil {
 			return fmt.Errorf("serve: replicated claim %d: %w", i, err)
 		}
 	}

@@ -224,7 +224,7 @@ func (s *Server) registerStatsFamilies() {
 		return func() float64 { return v(s.db.Stats()) }
 	}
 	r.GaugeFunc("storage_resident_rows",
-		"Claim rows resident on the heap (memory backend: the whole corpus).", obs.GaugeSum,
+		"Claim rows resident on the heap (the whole corpus).", obs.GaugeSum,
 		storage(func(st store.StorageStats) float64 { return float64(st.Resident) }))
 	r.GaugeFunc("storage_disk_rows",
 		"Claim rows covered by sealed on-disk segments.", obs.GaugeSum,

@@ -338,7 +338,7 @@ func (s *Server) dirtyFit(prev *Snapshot, fresh []model.Row, dirty map[string]st
 			rm: &readModels{records: prev.Records, entityByName: prev.entityByName, stats: prev.Stats}}, nil
 	}
 	var rd store.Reader
-	if _, ok := s.db.(*store.SegmentBacked); ok {
+	if s.cfg.Storage == store.StorageSegments {
 		// On the segment backend the dirty entities' claim history is
 		// re-read through the reader, whose zone maps and blooms skip every
 		// segment (and page) that holds no dirty entity — the refit's I/O is

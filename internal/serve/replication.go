@@ -14,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"latenttruth/internal/store"
 	"latenttruth/internal/wal"
 )
 
@@ -22,8 +21,9 @@ import (
 // endpoints:
 //
 //	GET /replication/checkpoint        stream the newest checkpoint
-//	                                   (MANIFEST.json, triples.csv,
-//	                                   quality.csv as one multipart body)
+//	                                   (MANIFEST.json, quality.csv,
+//	                                   posterior.csv and every segment the
+//	                                   manifest lists, as one multipart body)
 //	GET /replication/wal?from=N        long-poll the log from sequence N,
 //	    [&follower=ID][&wait=10s]      streamed in the WAL's own CRC32C
 //	                                   record framing (wal.DecodeBatch)
@@ -302,26 +302,19 @@ func (s *Server) NextReplicationSeq() uint64 {
 }
 
 // checkpointFiles is the fixed part order of a /replication/checkpoint
-// response: the manifest first so the receiver can verify the rest. The
-// posterior part is optional — checkpoints written before snapshot
+// response: the manifest first so the receiver can verify the rest. Every
+// segment file the manifest lists follows, named by segment.Ref.Filename.
+// The posterior part is optional — checkpoints written before snapshot
 // restoration existed don't have one, and the manifest's PosteriorCRC
-// tells the receiver whether to expect it.
+// tells the receiver whether to expect it. triples.csv is present only in
+// checkpoints from before segments were the only corpus format.
 var checkpointFiles = []string{"MANIFEST.json", "triples.csv", "quality.csv", wal.PosteriorName}
 
 // handleReplCheckpoint streams the newest checkpoint as a multipart body.
 // The files are opened before anything is written, so a concurrent prune
-// cannot tear the response (unlinked files stay readable through the open
-// descriptors).
+// or segment clean cannot tear the response (unlinked files stay readable
+// through the open descriptors).
 func (s *Server) handleReplCheckpoint(w http.ResponseWriter, r *http.Request) {
-	if _, ok := s.db.(*store.SegmentBacked); ok {
-		// Segment checkpoints carry no triples.csv, so there is nothing a
-		// follower could bootstrap its corpus from; replicated primaries
-		// must run -storage=memory (enforced for followers at config time,
-		// surfaced here for primaries a follower is pointed at anyway).
-		s.writeError(w, http.StatusNotImplemented, codeStorageUnsupported, errors.New(
-			"serve: checkpoint bootstrap is not supported from a segment-storage primary; run the primary with -storage=memory to replicate"))
-		return
-	}
 	cps, _, err := s.dur.store.Checkpoints()
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, codeInternal, err)
@@ -332,23 +325,30 @@ func (s *Server) handleReplCheckpoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cp := cps[len(cps)-1]
-	names := make([]string, 0, len(checkpointFiles))
-	files := make([]*os.File, 0, len(checkpointFiles))
+	var parts []string // part name, path
+	for _, name := range checkpointFiles {
+		parts = append(parts, name, filepath.Join(cp.Dir, name))
+	}
+	for _, ref := range cp.Manifest.Segments {
+		parts = append(parts, ref.Filename(), filepath.Join(wal.SegmentDir(s.dur.cfg.DataDir), ref.Filename()))
+	}
+	names := make([]string, 0, len(parts)/2)
+	files := make([]*os.File, 0, len(parts)/2)
 	defer func() {
 		for _, f := range files {
 			f.Close()
 		}
 	}()
-	for _, name := range checkpointFiles {
-		f, err := os.Open(filepath.Join(cp.Dir, name))
-		if os.IsNotExist(err) && name == wal.PosteriorName {
-			continue // older checkpoint without a posterior part
+	for i := 0; i < len(parts); i += 2 {
+		f, err := os.Open(parts[i+1])
+		if os.IsNotExist(err) && (parts[i] == "triples.csv" || parts[i] == wal.PosteriorName) {
+			continue // optional part this checkpoint does not carry
 		}
 		if err != nil {
 			s.writeError(w, http.StatusInternalServerError, codeInternal, err)
 			return
 		}
-		names = append(names, name)
+		names = append(names, parts[i])
 		files = append(files, f)
 	}
 	mw := multipart.NewWriter(w)

@@ -10,6 +10,8 @@ import (
 	"mime"
 	"mime/multipart"
 	"net/http"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -102,22 +104,23 @@ func TestReplicationCheckpointEndpoint(t *testing.T) {
 	mustRefit(t, s)
 
 	parts := fetchCheckpointParts(t, ts.URL)
-	if len(parts) != 4 {
-		t.Fatalf("checkpoint has %d parts, want 4 (manifest, triples, quality, posterior): %v", len(parts), parts)
-	}
 	var m wal.Manifest
 	if err := json.Unmarshal(parts["MANIFEST.json"], &m); err != nil {
 		t.Fatalf("manifest: %v", err)
 	}
-	if m.Seq != 1 {
-		t.Fatalf("manifest seq %d, want 1", m.Seq)
+	if m.Seq != 1 || len(m.Segments) != 1 {
+		t.Fatalf("manifest seq %d with %d segments, want seq 1 with 1 segment", m.Seq, len(m.Segments))
 	}
-	// The streamed files verify against the manifest's CRCs — the same
-	// check a bootstrapping follower performs.
+	if len(parts) != 4 {
+		t.Fatalf("checkpoint has %d parts, want 4 (manifest, quality, posterior, segment): %v", len(parts), parts)
+	}
+	// The streamed files verify against the manifest's CRCs and segment
+	// refs — the same checks a bootstrapping follower performs.
+	onDisk, err := os.ReadFile(filepath.Join(wal.SegmentDir(s.cfg.Durability.DataDir), m.Segments[0].Filename()))
+	if err != nil || !bytes.Equal(parts[m.Segments[0].Filename()], onDisk) {
+		t.Fatalf("segment part %s differs from the sealed file (err=%v)", m.Segments[0].Filename(), err)
+	}
 	castagnoli := crc32.MakeTable(crc32.Castagnoli)
-	if got := crc32.Checksum(parts["triples.csv"], castagnoli); got != m.TriplesCRC {
-		t.Fatalf("triples CRC %08x, manifest %08x", got, m.TriplesCRC)
-	}
 	if got := crc32.Checksum(parts["quality.csv"], castagnoli); got != m.QualityCRC {
 		t.Fatalf("quality CRC %08x, manifest %08x", got, m.QualityCRC)
 	}

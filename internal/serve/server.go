@@ -83,17 +83,15 @@ type Config struct {
 	// acknowledged, every published snapshot is checkpointed, and startup
 	// recovers the exact pre-crash state (checkpoint + WAL tail replay).
 	Durability Durability
-	// Storage selects the claim-store backend: store.StorageMemory (the
-	// default) keeps the corpus purely heap-resident and checkpoints it as
-	// CSV; store.StorageSegments additionally seals ingested rows into
-	// immutable on-disk segments at checkpoint time — checkpoints then
-	// cost O(new rows), recovery reopens segments instead of re-parsing
-	// CSV, and entity/source-scoped scans skip segments via zone maps and
-	// bloom filters. Segments require Durability.DataDir and are not yet
-	// supported on replication primaries' checkpoint bootstrap (followers
-	// of a segment primary cannot cold-bootstrap) or on followers.
-	// Backends are bit-identical: every query answer is the same under
-	// either kind.
+	// Storage selects what claim scans read. Every durable server seals
+	// the rows ingested since the previous checkpoint into immutable
+	// on-disk segments (checkpoints cost O(new rows), recovery reopens
+	// segments and replays only the WAL tail), and either kind reopens a
+	// data directory written under the other. store.StorageMemory (the
+	// default) scans the heap rows; store.StorageSegments scans the sealed
+	// segments, skipping segments and pages via zone maps and bloom
+	// filters, and requires Durability.DataDir. The kinds are
+	// bit-identical: every query answer is the same under either.
 	Storage string
 	// Replication tunes the primary side of WAL log shipping (the
 	// /replication/checkpoint and /replication/wal endpoints a durable
@@ -151,11 +149,11 @@ type Server struct {
 
 	// mu serializes refits and guards db, online and the refit counters.
 	mu sync.Mutex
-	// db is the cumulative claim store every snapshot is compacted from,
-	// behind the storage API: heap-resident rows either way, plus sealed
-	// on-disk segments under the segments kind. Appends happen under mu;
+	// db is the cumulative claim store every snapshot is compacted from:
+	// heap-resident rows either way, plus sealed on-disk segments when
+	// durable. Appends happen under mu;
 	// db.Reader() and db.Stats() are lock-free for queries and scrapes.
-	db store.Backend
+	db *store.SegmentBacked
 	// online carries accumulated source quality across refits (§5.4). It is
 	// created lazily at the first refit so default priors can be sized to
 	// the data actually seen; stream.Online is not concurrency-safe, so all
@@ -243,9 +241,6 @@ func New(cfg Config) (*Server, error) {
 	case store.StorageSegments:
 		if !cfg.Durability.Enabled() {
 			return nil, fmt.Errorf("serve: storage %q requires Durability.DataDir (segments live beside the WAL)", cfg.Storage)
-		}
-		if cfg.FollowerOf != "" {
-			return nil, fmt.Errorf("serve: storage %q is not supported in follower mode (bootstrap ships CSV checkpoints)", cfg.Storage)
 		}
 	default:
 		return nil, fmt.Errorf("serve: unknown storage kind %q (want %q or %q)",

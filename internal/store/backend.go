@@ -19,13 +19,11 @@ const (
 // Backend is the storage API the serving layer programs against: an
 // append-only raw-claim store with an insertion-order view (the substrate
 // every dataset build derives ids from) and a lock-free point-in-time
-// Reader for scoped scans. Two implementations exist: Memory (the original
-// heap-resident RawDB path) and SegmentBacked (heap rows plus an
-// incrementally sealed on-disk segment copy with data-skipping metadata).
+// Reader for scoped scans. SegmentBacked is the implementation.
 //
 // Backends make a bit-identity promise: AddRow in the same order yields
 // the same Rows() sequence regardless of kind, so datasets — and every
-// truth decision derived from them — are identical across backends.
+// truth decision derived from them — are identical across storage kinds.
 type Backend interface {
 	// AddRow appends the triple if it is not already present and reports
 	// whether it was inserted.
@@ -62,8 +60,9 @@ type Reader interface {
 
 // StorageStats reports a backend's shape and skipping telemetry, split by
 // residency: Resident counts heap rows, OnDisk counts rows covered by
-// sealed segments (for Memory the latter is always zero — the counts are
-// deliberately not conflated).
+// sealed segments (zero for a memory-only backend) — the counts are
+// deliberately not conflated. The skipping counters move only on the
+// segments kind, whose readers scan the sealed segments.
 type StorageStats struct {
 	Kind         string `json:"kind"`
 	Resident     int    `json:"resident_rows"`
@@ -80,6 +79,9 @@ type StorageStats struct {
 
 // rowsView is the immutable header a backend publishes for lock-free
 // readers: a rows slice whose backing array is never mutated below n.
+// segs is nil unless the backend is of the segments kind; it then holds
+// the segments covering rows[:sealed], and keeps them mapped for as long
+// as the view is reachable.
 type rowsView struct {
 	rows   []model.Row
 	segs   []*segment.Segment
@@ -94,61 +96,23 @@ type scanStats struct {
 	pages   atomic.Uint64
 }
 
-// Memory is the heap-resident backend: the RawDB path the server always
-// had, behind the Backend interface. Scans are linear over the row array.
-type Memory struct {
+// SegmentBacked is the claim store: rows live on the heap for dataset
+// builds (the model is heap-resident regardless), and a durable backend
+// also mirrors them into immutable on-disk segments at checkpoint time —
+// the one on-disk corpus format. The storage kind decides only what
+// readers scan: StorageSegments readers consult the sealed segments' zone
+// maps and blooms to skip whole segments and pages, StorageMemory readers
+// scan the heap rows linearly, so that kind keeps only the refs of the
+// segments it seals and closes each one once it is verified. A
+// memory-only backend (no directory) never seals.
+type SegmentBacked struct {
 	mu   sync.Mutex
 	db   *model.RawDB
-	view atomic.Pointer[rowsView]
-}
+	dir  string // "" for a memory-only backend
+	kind string
 
-// NewMemory returns an empty heap-resident backend.
-func NewMemory() *Memory {
-	m := &Memory{db: model.NewRawDB()}
-	m.view.Store(&rowsView{stats: &scanStats{}})
-	return m
-}
-
-// NewMemoryFrom wraps an already-populated RawDB (the recovery path).
-func NewMemoryFrom(db *model.RawDB) *Memory {
-	m := &Memory{db: db}
-	m.view.Store(&rowsView{rows: db.Rows(), stats: &scanStats{}})
-	return m
-}
-
-func (m *Memory) AddRow(r model.Row) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.db.AddRow(r) {
-		return false
-	}
-	m.view.Store(&rowsView{rows: m.db.Rows(), stats: m.view.Load().stats})
-	return true
-}
-
-func (m *Memory) Len() int          { return len(m.view.Load().rows) }
-func (m *Memory) Rows() []model.Row { return m.view.Load().rows }
-func (m *Memory) Reader() Reader    { return m.view.Load() }
-
-func (m *Memory) Stats() StorageStats {
-	return StorageStats{Kind: StorageMemory, Resident: len(m.view.Load().rows)}
-}
-
-// SegmentBacked keeps rows on the heap for dataset builds (the model is
-// heap-resident regardless) and mirrors them into immutable on-disk
-// segments sealed incrementally at checkpoint time. Sealed rows never
-// rewrite: each Seal covers only the tail appended since the previous
-// one, so checkpoint cost is O(new rows), and recovery reopens segments
-// instead of re-parsing CSV history. Scoped scans consult zone maps and
-// blooms to skip whole segments and pages.
-type SegmentBacked struct {
-	mu  sync.Mutex
-	db  *model.RawDB
-	dir string
-
-	segs  []*segment.Segment
-	refs  []segment.Ref
-	bytes int64
+	segs []*segment.Segment
+	refs []segment.Ref
 
 	view atomic.Pointer[rowsView]
 
@@ -158,21 +122,37 @@ type SegmentBacked struct {
 	stats      *scanStats
 }
 
-// NewSegmentBacked returns an empty segment backend writing to dir (the
-// directory must exist).
-func NewSegmentBacked(dir string) *SegmentBacked {
-	b := &SegmentBacked{db: model.NewRawDB(), dir: dir, stats: &scanStats{}}
-	b.publish()
+// NewMemory returns an empty memory-only backend.
+func NewMemory() *SegmentBacked { return NewMemoryFrom(model.NewRawDB()) }
+
+// NewMemoryFrom wraps an already-populated RawDB in a memory-only backend.
+func NewMemoryFrom(db *model.RawDB) *SegmentBacked {
+	b, _ := Open(StorageMemory, "", nil, db) // cannot fail without refs
 	return b
 }
 
-// OpenSegmentBacked adopts the refs recorded in a checkpoint manifest:
-// db holds the fully recovered row set (segment rows plus any replayed
-// tail) and refs the sealed coverage. Every segment is opened and
-// verified — CRC mismatches, truncation, or a missing file fail here,
-// before the backend serves anything.
+// NewSegmentBacked returns an empty segments-kind backend writing to dir
+// (the directory must exist).
+func NewSegmentBacked(dir string) *SegmentBacked {
+	b, _ := Open(StorageSegments, dir, nil, model.NewRawDB()) // cannot fail without refs
+	return b
+}
+
+// OpenSegmentBacked is Open for the segments kind.
 func OpenSegmentBacked(dir string, refs []segment.Ref, db *model.RawDB) (*SegmentBacked, error) {
-	b := &SegmentBacked{db: db, dir: dir, stats: &scanStats{}}
+	return Open(StorageSegments, dir, refs, db)
+}
+
+// Open adopts the refs recorded in a checkpoint manifest for a backend of
+// the given kind sealing into dir: db holds the fully recovered row set
+// (segment rows plus any replayed tail) and refs the sealed coverage.
+// Every segment is opened and verified — CRC mismatches, truncation, or a
+// missing file fail here, before the backend serves anything.
+func Open(kind, dir string, refs []segment.Ref, db *model.RawDB) (*SegmentBacked, error) {
+	if kind != StorageMemory && kind != StorageSegments {
+		return nil, fmt.Errorf("store: unknown storage kind %q", kind)
+	}
+	b := &SegmentBacked{db: db, dir: dir, kind: kind, stats: &scanStats{}}
 	covered := 0
 	for _, ref := range refs {
 		if ref.FirstRow != covered {
@@ -182,30 +162,44 @@ func OpenSegmentBacked(dir string, refs []segment.Ref, db *model.RawDB) (*Segmen
 		if err != nil {
 			return nil, err
 		}
-		b.segs = append(b.segs, s)
+		if kind == StorageSegments {
+			b.segs = append(b.segs, s)
+		} else {
+			s.Close() // no memory-kind reader can reach it
+		}
 		b.refs = append(b.refs, ref)
-		b.bytes += ref.Bytes
 		covered += ref.Rows
 	}
 	if covered > db.Len() {
 		return nil, fmt.Errorf("store: segments cover %d rows but only %d recovered", covered, db.Len())
 	}
-	b.sealedRows.Store(int64(covered))
-	b.segCount.Store(int64(len(refs)))
-	b.segBytes.Store(b.bytes)
-	b.publish()
+	b.adopt(covered)
 	return b, nil
 }
 
+// adopt publishes b.segs and b.refs as the sealed coverage of the first
+// covered rows; callers hold b.mu (or own the backend exclusively).
+func (b *SegmentBacked) adopt(covered int) {
+	var bytes int64
+	for _, r := range b.refs {
+		bytes += r.Bytes
+	}
+	b.sealedRows.Store(int64(covered))
+	b.segCount.Store(int64(len(b.refs)))
+	b.segBytes.Store(bytes)
+	b.publish()
+}
+
 // publish refreshes the lock-free reader view; callers hold b.mu (or own
-// the backend exclusively during construction).
+// the backend exclusively during construction). Only a segments-kind view
+// carries the segments: a memory-kind reader scans every row from the
+// heap, so it must not skip the sealed prefix.
 func (b *SegmentBacked) publish() {
-	b.view.Store(&rowsView{
-		rows:   b.db.Rows(),
-		segs:   b.segs,
-		sealed: int(b.sealedRows.Load()),
-		stats:  b.stats,
-	})
+	v := &rowsView{rows: b.db.Rows(), stats: b.stats}
+	if b.kind == StorageSegments {
+		v.segs, v.sealed = b.segs, int(b.sealedRows.Load())
+	}
+	b.view.Store(v)
 }
 
 func (b *SegmentBacked) AddRow(r model.Row) bool {
@@ -223,11 +217,10 @@ func (b *SegmentBacked) Rows() []model.Row { return b.view.Load().rows }
 func (b *SegmentBacked) Reader() Reader    { return b.view.Load() }
 
 func (b *SegmentBacked) Stats() StorageStats {
-	onDisk := int(b.sealedRows.Load())
 	return StorageStats{
-		Kind:            StorageSegments,
+		Kind:            b.kind,
 		Resident:        len(b.view.Load().rows),
-		OnDisk:          onDisk,
+		OnDisk:          int(b.sealedRows.Load()),
 		Segments:        int(b.segCount.Load()),
 		SegmentBytes:    b.segBytes.Load(),
 		SegmentsScanned: b.stats.scanned.Load(),
@@ -241,15 +234,39 @@ func (b *SegmentBacked) Stats() StorageStats {
 // the checkpoint manifest. A no-op (with the existing refs) when no rows
 // arrived since the last seal. Ids must be unique per live segment; a
 // leftover file from a crashed earlier seal of the same id is replaced.
+//
+// To bound the live segment count, the new segment absorbs the trailing
+// run of segments starting at the first one that holds no more rows than
+// everything after it (the new rows included), rewriting that run from
+// the heap rows. Each live segment then holds more rows than all later
+// ones together, so there are at most ⌈log₂(rows+1)⌉; a merge rewrites
+// every merged row under the lock (BenchmarkSealFullMerge). A replaced
+// segment stays mapped while a published reader may scan it, and its file
+// until segment.Clean finds no retained checkpoint listing it.
 func (b *SegmentBacked) Seal(id uint64) ([]segment.Ref, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if b.dir == "" {
+		return nil, fmt.Errorf("store: a memory-only backend cannot seal")
+	}
 	sealed := int(b.sealedRows.Load())
 	rows := b.db.Rows()
 	if sealed == len(rows) {
 		return append([]segment.Ref(nil), b.refs...), nil
 	}
-	ref, err := segment.Write(b.dir, id, sealed, rows[sealed:])
+	keep := len(b.refs)
+	after := len(rows) - sealed
+	for i := len(b.refs) - 1; i >= 0; i-- {
+		if b.refs[i].Rows <= after {
+			keep = i
+		}
+		after += b.refs[i].Rows
+	}
+	first := sealed
+	if keep < len(b.refs) {
+		first = b.refs[keep].FirstRow
+	}
+	ref, err := segment.Write(b.dir, id, first, rows[first:])
 	if err != nil {
 		return nil, err
 	}
@@ -257,25 +274,18 @@ func (b *SegmentBacked) Seal(id uint64) ([]segment.Ref, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: reopening just-sealed segment: %w", err)
 	}
-	// Copy-on-append so published reader views keep their shorter slices.
-	b.segs = append(append([]*segment.Segment(nil), b.segs...), s)
-	b.refs = append(append([]segment.Ref(nil), b.refs...), ref)
-	b.bytes += ref.Bytes
-	b.sealedRows.Store(int64(len(rows)))
-	b.segCount.Store(int64(len(b.segs)))
-	b.segBytes.Store(b.bytes)
-	b.publish()
+	if b.kind == StorageSegments {
+		b.segs = append(b.segs[:keep:keep], s) // a fresh array: published views keep theirs
+	} else {
+		s.Close() // no memory-kind reader can reach it
+	}
+	b.refs = append(b.refs[:keep:keep], ref)
+	b.adopt(len(rows))
 	return append([]segment.Ref(nil), b.refs...), nil
 }
 
-// Refs returns the current sealed-segment references.
-func (b *SegmentBacked) Refs() []segment.Ref {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return append([]segment.Ref(nil), b.refs...)
-}
-
-// Close releases all open segment mappings.
+// Close releases all open segment mappings. No reader taken from the
+// backend may be used afterwards.
 func (b *SegmentBacked) Close() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -289,7 +299,7 @@ func (b *SegmentBacked) Close() error {
 	return first
 }
 
-// ---- rowsView: the Reader implementation shared by both backends ----
+// ---- rowsView: the Reader implementation ----
 
 func (v *rowsView) Len() int          { return len(v.rows) }
 func (v *rowsView) Rows() []model.Row { return v.rows }

@@ -10,12 +10,13 @@
 //
 // The package also defines the claim-storage API behind the serving
 // layer: the Backend interface (an append-only raw-claim store with a
-// lock-free point-in-time Reader for scoped scans) and its two
-// implementations — Memory, the heap-resident RawDB path, and
-// SegmentBacked, which mirrors rows into immutable on-disk segments
-// (package internal/segment) sealed incrementally at checkpoint time,
-// with zone-map and bloom data skipping on every scoped scan. Both
-// backends make the same bit-identity promise: identical AddRow order
-// yields identical Rows() order, so every dataset id and truth decision
-// is independent of the storage kind.
+// lock-free point-in-time Reader for scoped scans) and its implementation
+// SegmentBacked. It keeps rows on the heap and, when durable, mirrors them
+// into immutable on-disk segments (package internal/segment) sealed
+// incrementally at checkpoint time — the one on-disk corpus format. The
+// storage kind only picks what readers scan: the segments kind scans the
+// sealed segments with zone-map and bloom data skipping, the memory kind
+// scans the heap rows. Identical AddRow order yields identical Rows()
+// order under either kind, so every dataset id and truth decision is
+// independent of the storage kind.
 package store

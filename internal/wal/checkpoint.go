@@ -19,21 +19,26 @@ import (
 
 // Checkpoint file layout: one directory per checkpoint,
 //
-//	checkpoints/chk-<seq>/triples.csv   cumulative raw database
 //	checkpoints/chk-<seq>/quality.csv   accumulated source quality
-//	checkpoints/chk-<seq>/MANIFEST.json metadata + per-file CRCs
+//	checkpoints/chk-<seq>/posterior.csv per-fact posterior (optional)
+//	checkpoints/chk-<seq>/MANIFEST.json metadata, per-file CRCs and the
+//	                                    segment list covering the corpus
 //
 // written under a ".tmp-" name, fsynced, and renamed into place, so a
 // crash can never leave a half-written checkpoint under a valid name.
 //
-// triples.csv is the recovery-critical file. quality.csv is for operators
-// and offline tooling (dataset.ReadQuality): recovery itself restores the
-// accumulator from the manifest's policy state, which carries the counts
-// at full float64 precision where the CSV rounds to 6 decimals.
-// posterior.csv (optional; present when the serving layer checkpoints a
-// published snapshot) carries the per-fact posterior at full precision so
-// recovery and followers can reconstruct the previous snapshot exactly —
-// what makes a replayed dirty refit bit-identical to the original.
+// The corpus itself lives in the immutable segments of SegmentDir, which
+// the manifest lists and which are sealed before the manifest is written.
+// Checkpoints written before segments became the only corpus format carry
+// a triples.csv instead (TriplesCRC non-zero); recovery still reads them.
+// quality.csv is for operators and offline tooling (dataset.ReadQuality):
+// recovery itself restores the accumulator from the manifest's policy
+// state, which carries the counts at full float64 precision where the CSV
+// rounds to 6 decimals. posterior.csv (present when the serving layer
+// checkpoints a published snapshot) carries the per-fact posterior at full
+// precision so recovery and followers can reconstruct the previous
+// snapshot exactly — what makes a replayed dirty refit bit-identical to
+// the original.
 const (
 	manifestName   = "MANIFEST.json"
 	triplesName    = "triples.csv"
@@ -61,7 +66,7 @@ type Manifest struct {
 	WALSeq uint64 `json:"wal_seq"`
 	// ConfigHash fingerprints the serving configuration that produced the
 	// state; a mismatch on recovery means the policy state is not safely
-	// reusable (the triples always are).
+	// reusable (the corpus always is).
 	ConfigHash string `json:"config_hash,omitempty"`
 	// Refits / FullRefits / DirtyRefits / IngestedTotal restore the
 	// server's counters.
@@ -70,6 +75,8 @@ type Manifest struct {
 	DirtyRefits   int64 `json:"dirty_refits,omitempty"`
 	IngestedTotal int64 `json:"ingested_total"`
 	// TriplesCRC / QualityCRC are CRC32C checksums of the sibling files.
+	// TriplesCRC is zero unless the checkpoint predates segments and
+	// carries its corpus as triples.csv.
 	TriplesCRC uint32 `json:"triples_crc"`
 	QualityCRC uint32 `json:"quality_crc"`
 	// PosteriorCRC is the CRC32C of the optional posterior.csv; zero means
@@ -85,14 +92,11 @@ type Manifest struct {
 	CreatedAt time.Time `json:"created_at"`
 	// Policy is the serving layer's opaque refit-policy state.
 	Policy json.RawMessage `json:"policy_state,omitempty"`
-	// Storage names the backend kind that wrote the checkpoint; empty
-	// means the classic memory path (triples.csv carries the corpus).
-	Storage string `json:"storage,omitempty"`
-	// Segments lists the immutable on-disk segments covering the corpus
-	// when Storage is "segments": the checkpoint then writes no
-	// triples.csv (TriplesCRC is zero) and recovery reopens the segments
-	// instead. Segments are append-only across checkpoints, so each
-	// checkpoint seals only the rows ingested since the previous one.
+	// Segments lists the immutable on-disk segments covering the corpus,
+	// in row order. A checkpoint seals the rows ingested since the previous
+	// one, merging trailing segments to bound their number, so a segment
+	// listed here may be absent from later manifests but is kept on disk
+	// while any retained checkpoint lists it.
 	Segments []claimseg.Ref `json:"segments,omitempty"`
 }
 
@@ -139,10 +143,10 @@ func checkpointDirName(seq int64) string {
 // atomically renamed into place. The parent directory is fsynced last, so
 // after Write returns the checkpoint survives power loss.
 //
-// A nil triples writer omits triples.csv (TriplesCRC stays zero): that is
-// the segment-backed shape, where the manifest's Segments list carries the
-// corpus coverage instead of a CSV copy — the O(history) rewrite the
-// memory path pays per checkpoint becomes O(new rows).
+// A nil triples writer omits triples.csv (TriplesCRC stays zero): the
+// manifest's Segments list then carries the corpus. The serving layer
+// always passes nil; a triples writer produces the legacy CSV shape that
+// recovery still reads.
 func (st *Store) Write(m Manifest, triples, quality, posterior func(io.Writer) error) error {
 	m.Format = manifestFormat
 	if m.CreatedAt.IsZero() {
@@ -299,8 +303,8 @@ func (st *Store) Prune(retain int) ([]Checkpoint, error) {
 	return cps[len(cps)-retain:], nil
 }
 
-// ReadTriples loads and CRC-verifies the checkpoint's cumulative raw
-// database. Row order is preserved, so the dataset built from it is
+// ReadTriples loads and CRC-verifies a legacy checkpoint's cumulative raw
+// database from its triples.csv. Row order is preserved, so the dataset built from it is
 // bit-identical to the one the checkpointed server had.
 func (c Checkpoint) ReadTriples() (*model.RawDB, error) {
 	db, crc, err := readCRC(filepath.Join(c.Dir, triplesName), func(r io.Reader) (*model.RawDB, error) {
@@ -314,33 +318,6 @@ func (c Checkpoint) ReadTriples() (*model.RawDB, error) {
 			c.Manifest.Seq, crc, c.Manifest.TriplesCRC)
 	}
 	return db, nil
-}
-
-// CopyTriples streams the checkpoint's triples.csv byte-for-byte into w,
-// verifying its CRC32C against the manifest as it copies. The rows of a
-// memory-backed corpus are append-only, so a later checkpoint's
-// triples.csv is this file plus the CSV of the rows ingested since: the
-// caller appends those after CopyTriples returns. On a checksum mismatch
-// the bytes already written are corrupt and the caller must discard them
-// (Store.Write does, when its triples writer fails).
-func (c Checkpoint) CopyTriples(w io.Writer) error {
-	if c.Manifest.TriplesCRC == 0 {
-		return fmt.Errorf("wal: checkpoint %d has no triples.csv", c.Manifest.Seq)
-	}
-	f, err := os.Open(filepath.Join(c.Dir, triplesName))
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	defer f.Close()
-	h := crc32.New(castagnoli)
-	if _, err := io.Copy(io.MultiWriter(w, h), f); err != nil {
-		return fmt.Errorf("wal: copying checkpoint %d triples: %w", c.Manifest.Seq, err)
-	}
-	if crc := h.Sum32(); crc != c.Manifest.TriplesCRC {
-		return fmt.Errorf("wal: checkpoint %d: triples CRC mismatch (have %08x, manifest %08x)",
-			c.Manifest.Seq, crc, c.Manifest.TriplesCRC)
-	}
-	return nil
 }
 
 // ReadQuality loads and CRC-verifies the checkpoint's source-quality table.
@@ -359,7 +336,7 @@ func (c Checkpoint) ReadQuality() ([]model.SourceQuality, error) {
 }
 
 // ReadPosterior loads and CRC-verifies the checkpoint's per-fact posterior,
-// aligned to ds (the dataset built from the checkpoint's own triples).
+// aligned to ds (the dataset built from the checkpoint's own corpus).
 // Checkpoints without a posterior return (nil, false, nil).
 func (c Checkpoint) ReadPosterior(ds *model.Dataset) ([]float64, bool, error) {
 	if c.Manifest.PosteriorCRC == 0 {

@@ -19,11 +19,13 @@
 //
 // Checkpoints make recovery O(tail) instead of O(history): each one is a
 // directory written to a temporary name, fsynced, and atomically renamed,
-// holding the cumulative triples CSV (dataset.WriteTriples), the source
-// quality CSV (dataset.WriteQuality), and MANIFEST.json recording the
-// snapshot sequence, the log position the checkpoint covers, per-file
-// CRCs, a configuration hash, and the serving layer's opaque policy state.
-// Segments wholly covered by every retained checkpoint are deleted.
+// holding the source quality CSV (dataset.WriteQuality), the posterior,
+// and MANIFEST.json recording the snapshot sequence, the log position the
+// checkpoint covers, the claim segments (internal/segment, in SegmentDir)
+// covering the corpus, per-file CRCs, a configuration hash, and the
+// serving layer's opaque policy state. Older checkpoints that hold the
+// corpus as a triples CSV are still read. Log segments wholly covered by
+// every retained checkpoint are deleted.
 //
 // The package has no model-specific logic; internal/serve composes it into
 // the daemon (write-ahead ingest, checkpoint-on-refit, recover-on-boot).

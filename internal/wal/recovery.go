@@ -10,9 +10,9 @@ import (
 	claimseg "latenttruth/internal/segment"
 )
 
-// Layout of a data directory: the log, the checkpoints and (for the
-// segment storage kind) the sealed claim segments live side by side so
-// one -data-dir flag carries everything.
+// Layout of a data directory: the log, the checkpoints and the sealed
+// claim segments live side by side so one -data-dir flag carries
+// everything.
 const (
 	logSubdir        = "wal"
 	checkpointSubdir = "checkpoints"
@@ -86,14 +86,11 @@ type Recovered struct {
 	// Checkpoint is the checkpoint recovery loaded, nil on cold start.
 	Checkpoint *Checkpoint
 	// DB is the cumulative raw database from the checkpoint (empty on cold
-	// start), in original insertion order — whether it was read back from
-	// triples.csv or reconstructed from segments.
+	// start), in original insertion order — whether it was reconstructed
+	// from segments or read back from a legacy triples.csv.
 	DB *model.RawDB
-	// Storage is the backend kind the loaded checkpoint was written by
-	// ("" or "memory": triples.csv; "segments": the Segments list below).
-	Storage string
 	// Segments lists the verified segment refs the checkpoint covers the
-	// corpus with (nil for memory checkpoints and cold starts).
+	// corpus with (nil for legacy triples.csv checkpoints and cold starts).
 	Segments []claimseg.Ref
 	// Tail is the acknowledged-but-not-checkpointed batch suffix: every
 	// log record with a sequence number above the checkpoint's coverage.
@@ -141,13 +138,15 @@ func Recover(dataDir string, opts Options) (*Recovered, error) {
 	for i := len(cps) - 1; i >= 0; i-- {
 		var db *model.RawDB
 		var rerr error
-		if cps[i].Manifest.Storage == "segments" {
-			// Segment checkpoints carry no triples.csv: the corpus is
-			// reopened from the immutable segments the manifest lists,
-			// every page CRC-verified before a single row is trusted.
-			db, rerr = loadSegmentDB(SegmentDir(dataDir), cps[i].Manifest.Segments)
-		} else {
+		if cps[i].Manifest.TriplesCRC != 0 {
+			// A checkpoint from before segments were the only corpus
+			// format; the next checkpoint seals all of its rows.
 			db, rerr = cps[i].ReadTriples()
+		} else {
+			// The corpus is reopened from the immutable segments the
+			// manifest lists, every page CRC-verified before a single row
+			// is trusted.
+			db, rerr = loadSegmentDB(SegmentDir(dataDir), cps[i].Manifest.Segments)
 		}
 		if rerr != nil {
 			rec.Stats.CheckpointsSkipped++
@@ -156,9 +155,6 @@ func Recover(dataDir string, opts Options) (*Recovered, error) {
 		cp := cps[i]
 		rec.Checkpoint = &cp
 		rec.DB = db
-		if cp.Manifest.Storage != "" {
-			rec.Storage = cp.Manifest.Storage
-		}
 		rec.Segments = cp.Manifest.Segments
 		break
 	}

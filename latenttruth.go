@@ -353,13 +353,13 @@ var ErrNoServeData = serve.ErrNoData
 type (
 	// StorageBackend is the claim-store API behind the serving layer: an
 	// append-only, duplicate-free raw-claim store with an insertion-order
-	// row view and lock-free point-in-time readers. Both implementations
+	// row view and lock-free point-in-time readers. Both storage kinds
 	// honor a bit-identity promise — the same AddRow order yields the same
 	// Rows() sequence, so every derived truth decision is
-	// backend-independent.
+	// independent of the kind.
 	StorageBackend = store.Backend
 	// StorageReader is one immutable row snapshot supporting scoped scans
-	// (by entity set, entity range, or source). On the segment backend the
+	// (by entity set, entity range, or source). Under the segments kind the
 	// scans consult per-segment zone maps and bloom filters to skip
 	// segments that cannot match.
 	StorageReader = store.Reader
@@ -368,11 +368,12 @@ type (
 	SegmentStats = store.StorageStats
 )
 
-// The available storage kinds for ServeConfig.Storage: heap-resident
-// rows (the default), or heap rows backed by immutable on-disk segments
-// sealed at checkpoint time — recovery then reopens the CRC-verified
-// segments and replays only the short WAL tail instead of re-reading the
-// whole corpus from CSV.
+// The available storage kinds for ServeConfig.Storage. A durable server
+// seals its corpus into immutable on-disk segments at checkpoint time
+// under either kind (recovery reopens the CRC-verified segments and
+// replays only the short WAL tail); the kind picks what scans read: the
+// heap rows (the default), or the segments with zone-map and bloom
+// skipping.
 const (
 	StorageMemory   = store.StorageMemory
 	StorageSegments = store.StorageSegments
