@@ -1165,15 +1165,18 @@ func BenchmarkDirtyRefitPct10(b *testing.B) {
 }
 
 // BenchmarkDirtyRefitFull is the baseline: the same 0.1% mutation load
-// refitted with a forced full fit — what every refit cost before the
-// dirty fast path.
+// refitted with a forced full fit. The dataset is extended from the
+// previous snapshot's exactly as on the dirty path, so the gap to Pct01 is
+// the full engine sweep over every fact (and the records re-merged for
+// every entity).
 func BenchmarkDirtyRefitFull(b *testing.B) {
 	benchmarkDirtyRefit(b, dirtyBenchSetup(b), 0.1, latenttruth.RefitFull, false)
 }
 
 // BenchmarkDirtyRefitDurablePct01 is Pct01 on a durable server, so each
-// refit also pays its checkpoint (the append-only triples.csv, the
-// posterior and the manifest, fsynced) and the WAL marker. The server is
+// refit also pays its checkpoint (the rows since the last checkpoint
+// sealed into a segment, the posterior and the manifest, fsynced) and the
+// WAL marker. The server is
 // rebuilt per run because its data directory lives under b.TempDir();
 // the build is off the clock.
 func BenchmarkDirtyRefitDurablePct01(b *testing.B) {

@@ -11,7 +11,12 @@
 // RefitFull re-anchors on cumulative data (§5.4's periodic retrain),
 // RefitOnline learns quality from each arrived batch and serves Equation
 // 3's closed form over the cumulative data, and RefitDirty re-sweeps only
-// the entities a batch touched. The truth tables served are Definition 4's
+// the entities a batch touched. The cumulative corpus only grows, so every
+// refit after the first fits over the previous snapshot's dataset extended
+// with the batch (store.ExtendDirtyIndexed) and carries its entity index
+// and stats forward; the policy only chooses the fit. The corpus is
+// re-derived from every row only for the first refit, on recovery, and
+// when an extension fails. The truth tables served are Definition 4's
 // integrated output (Table 4); quality responses follow Table 8's
 // presentation order.
 //

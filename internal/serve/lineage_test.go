@@ -67,92 +67,111 @@ func probeSnapshot(sn *Snapshot, rng *rand.Rand) error {
 	return nil
 }
 
-// TestSnapshotLineage runs a chain of dirty refits that add entities,
-// facts and covering sources, on both storage backends, with readers
-// probing whatever snapshot is current throughout. Every snapshot of the
-// chain — the carried-over read models included — must satisfy the full
-// lookup contract (checkSnapshotComplete: stats equal a from-scratch
-// Summarize, every name resolves to its own id, typed not-found errors),
-// and no snapshot may ever resolve an entity added after it was published.
+// TestSnapshotLineage runs a chain of refits that add entities, facts and
+// covering sources, under every refit policy and on both storage backends,
+// with readers probing whatever snapshot is current throughout. Every
+// refit after the first extends its predecessor's dataset, so every
+// snapshot of the chain must hold exactly the dataset model.BuildRows
+// derives from the rows ingested so far, and — the carried-over read
+// models included — satisfy the full lookup contract
+// (checkSnapshotComplete: stats equal a from-scratch Summarize, every name
+// resolves to its own id, typed not-found errors). No snapshot may ever
+// resolve an entity added after it was published.
 func TestSnapshotLineage(t *testing.T) {
 	const rounds = 24
 	for _, kind := range []string{store.StorageMemory, store.StorageSegments} {
 		t.Run(kind, func(t *testing.T) {
-			cfg := durableConfig(RefitDirty, t.TempDir())
-			cfg.Storage = kind
-			cfg.FullEvery = 1000 // every refit after the anchor takes the dirty path
-			s, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			base := testCorpus(t, 17).Dataset
-			mustIngest(t, s, positiveRows(base))
-			chain := []*Snapshot{mustRefit(t, s)}
-
-			stop := make(chan struct{})
-			errs := make(chan error, 4)
-			var wg sync.WaitGroup
-			for r := 0; r < 4; r++ {
-				wg.Add(1)
-				go func(seed int64) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(seed))
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						if err := probeSnapshot(s.Snapshot(), rng); err != nil {
-							errs <- err
-							return
-						}
-					}
-				}(int64(r))
-			}
-
-			for i := 1; i <= rounds; i++ {
-				mustIngest(t, s, lineageRound(base, i))
-				sn := mustRefit(t, s)
-				if sn.Mode != RefitDirty {
-					t.Fatalf("round %d: mode %q, want dirty", i, sn.Mode)
-				}
-				chain = append(chain, sn)
-			}
-			close(stop)
-			wg.Wait()
-			select {
-			case err := <-errs:
-				t.Fatal(err)
-			default:
-			}
-
-			for i, sn := range chain {
-				checkSnapshotComplete(t, sn)
-				for j := 1; j <= rounds; j++ {
-					if j%3 == 0 {
-						continue
-					}
-					_, err := sn.EntityTruth(lineageEntity(j))
-					if added := j <= i; added != (err == nil) {
-						t.Fatalf("snapshot %d (round %d): EntityTruth(%q) err=%v; added in round %d",
-							sn.Seq, i, lineageEntity(j), err, j)
-					}
-					if _, err := sn.Truth(lineageEntity(j), "a0"); j > i && !errors.Is(err, ErrNoEntity) {
-						t.Fatalf("snapshot %d sees entity %q added later: %v", sn.Seq, lineageEntity(j), err)
-					}
-				}
-			}
-			// Snapshots without a new entity share their predecessor's index;
-			// the others own a copy.
-			for i := 1; i <= rounds; i++ {
-				shared := sameMap(chain[i].entityByName, chain[i-1].entityByName)
-				if want := i%3 == 0; shared != want {
-					t.Fatalf("round %d: entity index shared=%t, want %t", i, shared, want)
-				}
+			for _, policy := range []RefitPolicy{RefitFull, RefitOnline, RefitDirty} {
+				t.Run(string(policy), func(t *testing.T) {
+					testSnapshotLineage(t, policy, kind, rounds)
+				})
 			}
 		})
+	}
+}
+
+func testSnapshotLineage(t *testing.T, policy RefitPolicy, kind string, rounds int) {
+	cfg := durableConfig(policy, t.TempDir())
+	cfg.Storage = kind
+	cfg.FullEvery = 1000 // every refit after the anchor takes the policy's own path
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	base := testCorpus(t, 17).Dataset
+	rows := positiveRows(base)
+	mustIngest(t, s, rows)
+	chain := []*Snapshot{mustRefit(t, s)}
+	ingested := [][]model.Row{rows}
+
+	stop := make(chan struct{})
+	errs := make(chan error, 4)
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := probeSnapshot(s.Snapshot(), rng); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(int64(r))
+	}
+
+	for i := 1; i <= rounds; i++ {
+		round := lineageRound(base, i)
+		mustIngest(t, s, round)
+		rows = append(rows[:len(rows):len(rows)], round...)
+		ingested = append(ingested, rows)
+		sn := mustRefit(t, s)
+		if sn.Mode != policy {
+			t.Fatalf("round %d: mode %q, want %q", i, sn.Mode, policy)
+		}
+		chain = append(chain, sn)
+	}
+	close(stop)
+	wg.Wait()
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
+	}
+
+	for i, sn := range chain {
+		checkSnapshotComplete(t, sn)
+		if !reflect.DeepEqual(sn.Dataset, model.BuildRows(ingested[i])) {
+			t.Fatalf("snapshot %d (round %d): dataset differs from BuildRows over the rows ingested so far", sn.Seq, i)
+		}
+		for j := 1; j <= rounds; j++ {
+			if j%3 == 0 {
+				continue
+			}
+			_, err := sn.EntityTruth(lineageEntity(j))
+			if added := j <= i; added != (err == nil) {
+				t.Fatalf("snapshot %d (round %d): EntityTruth(%q) err=%v; added in round %d",
+					sn.Seq, i, lineageEntity(j), err, j)
+			}
+			if _, err := sn.Truth(lineageEntity(j), "a0"); j > i && !errors.Is(err, ErrNoEntity) {
+				t.Fatalf("snapshot %d sees entity %q added later: %v", sn.Seq, lineageEntity(j), err)
+			}
+		}
+	}
+	// Snapshots without a new entity share their predecessor's index;
+	// the others own a copy.
+	for i := 1; i <= rounds; i++ {
+		shared := sameMap(chain[i].entityByName, chain[i-1].entityByName)
+		if want := i%3 == 0; shared != want {
+			t.Fatalf("round %d: entity index shared=%t, want %t", i, shared, want)
+		}
 	}
 }
 

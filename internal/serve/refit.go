@@ -191,21 +191,10 @@ func (s *Server) fitLocked(override RefitPolicy, dr drainResult, sp *obs.Span) (
 	if override != "" {
 		policy = override
 	}
-	// The first refit (no accumulated quality yet), and every FullEvery-th
-	// one under the fast-path policies, re-anchors quality with a full
-	// engine fit.
-	done := s.refits.Load()
-	full := policy == RefitFull || s.online == nil || !s.online.HasQuality() ||
-		(s.cfg.FullEvery > 0 && done%int64(s.cfg.FullEvery) == 0)
 	prev := s.snap.Load()
-	if policy == RefitDirty && prev == nil {
-		// No previous snapshot to extend (first refit, or recovery without
-		// restorable serving state).
-		full = true
-	}
 
-	// The drain phase ends here: rows folded, carry merged, policy
-	// chosen. Everything until the snapshot swap is the fit.
+	// The drain phase ends here: rows folded, carry merged. Everything
+	// until the snapshot swap is the fit.
 	sp.Phase("fit")
 	start := time.Now()
 	if s.testFitErr != nil {
@@ -213,49 +202,45 @@ func (s *Server) fitLocked(override RefitPolicy, dr drainResult, sp *obs.Span) (
 			return nil, 0, err
 		}
 	}
+	ds, ext, rm := s.refitDataset(prev, fresh, dirty)
+	// The first refit (no accumulated quality yet), and every FullEvery-th
+	// one under the fast-path policies, re-anchors quality with a full
+	// engine fit. The dirty path also needs a dataset carried from the
+	// previous snapshot and a clean remainder to condition on; without
+	// them a full fit is the exact answer.
+	done := s.refits.Load()
+	full := policy == RefitFull || s.online == nil || !s.online.HasQuality() ||
+		(s.cfg.FullEvery > 0 && done%int64(s.cfg.FullEvery) == 0) ||
+		policy == RefitDirty && (rm == nil || ext != nil && ext.DirtyEntities == ext.Full.NumEntities())
+
 	var (
-		ds            *model.Dataset
 		res           *model.Result
 		quality       []model.SourceQuality
 		mode          RefitPolicy
 		dirtyEntities int
-		rm            *readModels
 	)
-	fullFit := func(prepared *model.Dataset) error {
-		ds = prepared
-		if ds == nil {
-			ds = model.BuildRows(s.db.Rows())
-		}
+	switch {
+	case full:
 		if err := s.ensureOnline(ds.NumFacts()); err != nil {
-			return err
+			return nil, 0, err
 		}
 		fit, err := s.online.Refit(ds)
 		if err != nil {
-			return fmt.Errorf("serve: full refit: %w", err)
+			return nil, 0, fmt.Errorf("serve: full refit: %w", err)
 		}
 		res, quality, mode = fit.Result, fit.Quality, RefitFull
-		return nil
-	}
-	switch {
-	case full:
-		if err := fullFit(nil); err != nil {
-			return nil, 0, err
-		}
+	case policy == RefitDirty && ext == nil:
+		// A forced refit with nothing pending: republish the previous
+		// serving state under the next sequence number.
+		res, quality, mode = prev.Result, prev.Quality, RefitDirty
+		rm.records = prev.Records
 	case policy == RefitDirty:
-		out, err := s.dirtyFit(prev, fresh, dirty)
-		if err != nil {
+		var err error
+		if res, rm.records, err = s.dirtyFit(prev, ext, dirty); err != nil {
 			return nil, 0, err
 		}
-		if out.fallback {
-			if err := fullFit(out.fallbackDS); err != nil {
-				return nil, 0, err
-			}
-			break
-		}
-		ds, res, quality, rm = out.ds, out.res, out.quality, out.rm
-		mode, dirtyEntities = RefitDirty, out.dirtyEntities
+		quality, mode, dirtyEntities = s.online.Quality(), RefitDirty, ext.DirtyEntities
 	default: // RefitOnline
-		ds = model.BuildRows(s.db.Rows())
 		if len(fresh) > 0 {
 			if err := s.stepBatch(fresh); err != nil {
 				return nil, 0, err
@@ -308,61 +293,52 @@ func (s *Server) fitLocked(override RefitPolicy, dr drainResult, sp *obs.Span) (
 	return snap, flips, nil
 }
 
-// dirtyOutcome is the result of the dirty fast path; fallback asks the
-// caller to run a full fit instead (with fallbackDS when the extension
-// already produced the full dataset).
-type dirtyOutcome struct {
-	ds      *model.Dataset
-	res     *model.Result
-	quality []model.SourceQuality
-	// rm are the read models for ds, patched from the previous snapshot's
-	// (clean entities keep their record untouched; see carryReadModels).
-	rm            *readModels
-	dirtyEntities int
-	fallback      bool
-	fallbackDS    *model.Dataset
+// refitDataset returns the dataset a refit fits over. §5.4's corpus is
+// cumulative and a batch only appends rows to it, so once a snapshot
+// exists the dataset is the previous one extended with the fresh rows
+// (ext), or the previous one itself when nothing is pending (ext nil).
+// rm then carries the previous snapshot's entity index and stats onto the
+// dataset, leaving only the records to derive. model.BuildRows re-derives
+// the whole corpus (rm nil) only for the first refit and, loudly, when the
+// extension fails. Called under mu.
+func (s *Server) refitDataset(prev *Snapshot, fresh []model.Row, dirty map[string]struct{}) (*model.Dataset, *store.Extension, *readModels) {
+	if prev != nil {
+		if len(fresh) == 0 && len(dirty) == 0 {
+			return prev.Dataset, nil, carryReadModels(prev, nil)
+		}
+		var rd store.Reader
+		if s.cfg.Storage == store.StorageSegments {
+			// On the segment backend the dirty entities' claim history is
+			// re-read through the reader, whose zone maps and blooms skip
+			// every segment (and page) that holds no dirty entity — the
+			// extension's I/O is proportional to the dirty set, not the
+			// corpus.
+			rd = s.db.Reader()
+		}
+		// The previous snapshot's entity index stands in for the name map
+		// the extension would otherwise rebuild over every entity.
+		ext, err := store.ExtendDirtyIndexed(prev.Dataset, prev.entityByName, fresh, dirty, rd)
+		if err == nil {
+			return ext.Full, ext, carryReadModels(prev, ext)
+		}
+		// A tracking invariant broke (should not happen); a rebuild from
+		// every row is always correct, so fall back loudly rather than fail
+		// the refit.
+		s.warnf("serve: extending the previous dataset: %v; rebuilding it from every row", err)
+	}
+	return model.BuildRows(s.db.Rows()), nil, nil
 }
 
 // dirtyFit is §5.4's incremental learning scoped to the entities a batch
-// touched: the previous snapshot's dataset is extended with the fresh rows
-// (clean entities' facts and claims are shared, not rebuilt), only the
-// dirty-entity sub-dataset is re-swept against the accumulated per-source
-// counts, and the new posteriors are scattered into a copy of the previous
-// probability vector — clean entities keep their truth bit-for-bit.
-// Called under mu.
-func (s *Server) dirtyFit(prev *Snapshot, fresh []model.Row, dirty map[string]struct{}) (dirtyOutcome, error) {
-	if len(dirty) == 0 {
-		// A forced refit with nothing pending: republish the previous
-		// serving state under the next sequence number.
-		return dirtyOutcome{ds: prev.Dataset, res: prev.Result, quality: prev.Quality,
-			rm: &readModels{records: prev.Records, entityByName: prev.entityByName, stats: prev.Stats}}, nil
-	}
-	var rd store.Reader
-	if s.cfg.Storage == store.StorageSegments {
-		// On the segment backend the dirty entities' claim history is
-		// re-read through the reader, whose zone maps and blooms skip every
-		// segment (and page) that holds no dirty entity — the refit's I/O is
-		// proportional to the dirty set, not the corpus.
-		rd = s.db.Reader()
-	}
-	// The previous snapshot's entity index stands in for the name map the
-	// extension would otherwise rebuild over every entity.
-	ext, err := store.ExtendDirtyIndexed(prev.Dataset, prev.entityByName, fresh, dirty, rd)
-	if err != nil {
-		// A tracking invariant broke (should not happen); the full path is
-		// always correct, so fall back loudly rather than fail the refit.
-		s.warnf("serve: dirty refit: %v; falling back to a full refit", err)
-		return dirtyOutcome{fallback: true}, nil
-	}
-	if ext.DirtyEntities == ext.Full.NumEntities() {
-		// Everything is dirty: there is no clean remainder to condition on,
-		// and a full fit over the (already extended) dataset is the exact
-		// answer.
-		return dirtyOutcome{fallback: true, fallbackDS: ext.Full}, nil
-	}
+// touched: only the dirty-entity sub-dataset of the extension is re-swept
+// against the accumulated per-source counts, and the new posteriors are
+// scattered into a copy of the previous probability vector — clean
+// entities keep their truth bit-for-bit. It returns the posterior over
+// ext.Full and its merged records. Called under mu.
+func (s *Server) dirtyFit(prev *Snapshot, ext *store.Extension, dirty map[string]struct{}) (*model.Result, []integrate.Record, error) {
 	fit, err := s.online.StepDirty(ext.Sub, dirtyContribution(prev, dirty))
 	if err != nil {
-		return dirtyOutcome{}, fmt.Errorf("serve: dirty refit: %w", err)
+		return nil, nil, fmt.Errorf("serve: dirty refit: %w", err)
 	}
 	// Copy-on-write posterior: prev facts are a prefix of the extended
 	// fact table, so the previous probabilities land index-for-index and
@@ -372,26 +348,20 @@ func (s *Server) dirtyFit(prev *Snapshot, fresh []model.Row, dirty map[string]st
 	for i, gf := range ext.SubFacts {
 		prob[gf] = fit.Prob[i]
 	}
-	// Copy-on-write read models: prev entities are a prefix of the extended
+	// Copy-on-write records: prev entities are a prefix of the extended
 	// entity table, so clean entities keep their merged record untouched and
 	// only the dirty (and new) entities' records are re-derived — from the
 	// sub fit alone, keeping snapshot construction O(dirty), not O(corpus).
 	subRecs, err := integrate.Merge(ext.Sub, fit.Result, s.cfg.Threshold)
 	if err != nil {
-		return dirtyOutcome{}, fmt.Errorf("serve: dirty refit: %w", err)
+		return nil, nil, fmt.Errorf("serve: dirty refit: %w", err)
 	}
 	records := make([]integrate.Record, ext.Full.NumEntities())
 	copy(records, prev.Records)
 	for i, ge := range ext.SubEntities {
 		records[ge] = subRecs[i]
 	}
-	return dirtyOutcome{
-		ds:            ext.Full,
-		res:           &model.Result{Method: prev.Result.Method, Prob: prob},
-		quality:       s.online.Quality(),
-		rm:            carryReadModels(prev, ext, records),
-		dirtyEntities: ext.DirtyEntities,
-	}, nil
+	return &model.Result{Method: prev.Result.Method, Prob: prob}, records, nil
 }
 
 // dirtyContribution computes the dirty entities' expected confusion-count
@@ -434,12 +404,7 @@ func dirtyContribution(prev *Snapshot, dirty map[string]struct{}) map[string][2]
 // priors, folding the batch's expected confusion counts into the
 // accumulator (stream.Online.Step). Called under mu.
 func (s *Server) stepBatch(rows []model.Row) error {
-	batch := model.NewRawDB()
-	for _, r := range rows {
-		batch.AddRow(r)
-	}
-	bds := model.Build(batch)
-	if _, err := s.online.Step(bds); err != nil {
+	if _, err := s.online.Step(model.BuildRows(rows)); err != nil {
 		return fmt.Errorf("serve: online step: %w", err)
 	}
 	return nil

@@ -21,6 +21,9 @@ type RefitPolicy string
 const (
 	// RefitFull runs the full collapsed Gibbs engine over the cumulative
 	// dataset on every refit — the most accurate and most expensive policy.
+	// Like every policy, it fits over the previous snapshot's dataset
+	// extended with the fresh rows (store.ExtendDirtyIndexed), not a
+	// rebuild of the corpus.
 	RefitFull RefitPolicy = "full"
 	// RefitOnline Gibbs-fits each newly arrived batch with the accumulated
 	// per-source quality priors (stream.Online.Step, §5.4's full
@@ -29,7 +32,7 @@ const (
 	// learning from new claims between full refits.
 	RefitOnline RefitPolicy = "online"
 	// RefitDirty re-sweeps only the entities touched since the last refit:
-	// the cumulative dataset is extended in place (store.ExtendDirty), just
+	// the cumulative dataset is extended (store.ExtendDirtyIndexed), just
 	// the dirty-entity sub-dataset is re-fit against the accumulated
 	// per-source counts (stream.Online.StepDirty), and clean entities keep
 	// their posterior rows from the previous snapshot. Refit cost scales

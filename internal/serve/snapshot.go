@@ -87,7 +87,7 @@ type Snapshot struct {
 	// entityByName indexes entity ids by name; Records shares the same
 	// order (integrate.Merge emits one record per entity in entity order).
 	// Named facts resolve through it plus a scan of the entity's facts
-	// (query.View.FactID). A dirty snapshot without new entities shares its
+	// (query.View.FactID). A refit that adds no entity shares its
 	// predecessor's map; maps are never written after publication.
 	entityByName map[string]int
 	// view is the query engine's window onto this snapshot (shares the
@@ -96,11 +96,14 @@ type Snapshot struct {
 }
 
 // readModels are a snapshot's derived read structures when the caller can
-// produce them cheaper than a from-scratch derivation: the dirty fast path
-// carries them over from the previous snapshot and patches only what the
-// dirty set changed, so publishing costs O(dirty), not O(corpus).
+// produce them cheaper than a from-scratch derivation: a refit carries the
+// entity index and stats over from the previous snapshot (carryReadModels),
+// and the dirty fast path patches its predecessor's records too, so
+// publishing costs O(dirty), not O(corpus), beyond the records a full or
+// online fit re-merges.
 type readModels struct {
-	// records are the merged records for the dataset, in entity order.
+	// records are the merged records for the dataset, in entity order; nil
+	// asks newSnapshot to merge them from the fit.
 	records []integrate.Record
 	// entityByName indexes every entity of the dataset by name.
 	entityByName map[string]int
@@ -108,12 +111,16 @@ type readModels struct {
 	stats store.Stats
 }
 
-// carryReadModels derives a dirty snapshot's read models from its
-// predecessor's: the entity index is shared outright when the extension
-// added no entity, and otherwise cloned with only the new names added
-// (entity ids are stable, so every old name keeps its id); the stats come
-// from the predecessor's plus the dirty facts' claim-count delta.
-func carryReadModels(prev *Snapshot, ext *store.Extension, records []integrate.Record) *readModels {
+// carryReadModels derives the entity index and stats of ext.Full — or of
+// prev's own dataset when ext is nil — from prev's: the entity index is
+// shared outright when the extension added no entity, and otherwise cloned
+// with only the new names added (entity ids are stable, so every old name
+// keeps its id); the stats come from prev's plus the dirty facts'
+// claim-count delta. The records are left to the caller.
+func carryReadModels(prev *Snapshot, ext *store.Extension) *readModels {
+	if ext == nil {
+		return &readModels{entityByName: prev.entityByName, stats: prev.Stats}
+	}
 	idx := prev.entityByName
 	if n0 := prev.Dataset.NumEntities(); ext.Full.NumEntities() > n0 {
 		idx = maps.Clone(idx)
@@ -121,27 +128,31 @@ func carryReadModels(prev *Snapshot, ext *store.Extension, records []integrate.R
 			idx[name] = n0 + e
 		}
 	}
-	return &readModels{records: records, entityByName: idx, stats: ext.Summarize(prev.Stats)}
+	return &readModels{entityByName: idx, stats: ext.Summarize(prev.Stats)}
 }
 
 // newSnapshot freezes the serving state. rm, when non-nil, supplies the
-// derived read models (the dirty fast path patches its predecessor's);
-// nil derives them here from ds and res.
+// entity index and stats carried from the previous snapshot, and the
+// records too unless they are nil; nil derives everything here from ds
+// and res.
 func newSnapshot(seq int64, ds *model.Dataset, res *model.Result,
 	quality []model.SourceQuality, threshold float64, mode RefitPolicy,
 	dur time.Duration, compacted int, freshness time.Duration,
 	rm *readModels) (*Snapshot, error) {
 
 	if rm == nil {
-		records, err := integrate.Merge(ds, res, threshold)
-		if err != nil {
-			return nil, err
-		}
 		idx := make(map[string]int, len(ds.Entities))
 		for e, name := range ds.Entities {
 			idx[name] = e
 		}
-		rm = &readModels{records: records, entityByName: idx, stats: store.Summarize(ds)}
+		rm = &readModels{entityByName: idx, stats: store.Summarize(ds)}
+	}
+	if rm.records == nil {
+		records, err := integrate.Merge(ds, res, threshold)
+		if err != nil {
+			return nil, err
+		}
+		rm.records = records
 	}
 	sn := &Snapshot{
 		Seq:           seq,

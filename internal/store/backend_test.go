@@ -154,7 +154,7 @@ func TestSegmentBackedReopen(t *testing.T) {
 }
 
 // TestExtendDirtyScanMatchesDataset is the basis-equivalence property: for
-// random corpora, prefix cuts and dirty sets, ExtendDirtyScan over either
+// random corpora, prefix cuts and dirty sets, ExtendDirtyIndexed over either
 // backend's reader produces an Extension bit-identical to ExtendDirty's —
 // so serving from segments cannot change a single truth decision.
 func TestExtendDirtyScanMatchesDataset(t *testing.T) {
@@ -192,11 +192,15 @@ func TestExtendDirtyScanMatchesDataset(t *testing.T) {
 		if len(distinct) > 3 {
 			sealEvery = 1 + rng.Intn(len(distinct)/2)
 		}
+		index := make(map[string]int, len(prev.Entities))
+		for e, name := range prev.Entities {
+			index[name] = e
+		}
 		mem, seg := fillBackends(t, distinct, sealEvery)
 		for _, rd := range []Reader{mem.Reader(), seg.Reader()} {
-			got, err := ExtendDirtyScan(prev, fresh, dirty, rd)
+			got, err := ExtendDirtyIndexed(prev, index, fresh, dirty, rd)
 			if err != nil {
-				t.Fatalf("trial %d: ExtendDirtyScan: %v", trial, err)
+				t.Fatalf("trial %d: ExtendDirtyIndexed: %v", trial, err)
 			}
 			if !reflect.DeepEqual(got.Full, want.Full) {
 				t.Fatalf("trial %d: scan-basis Full differs from dataset-basis", trial)

@@ -68,29 +68,21 @@ func ExtendDirty(prev *model.Dataset, fresh []model.Row, dirty map[string]struct
 	return extendDirty(prev, nil, fresh, dirty, nil)
 }
 
-// ExtendDirtyScan is ExtendDirty with the cover/positive sets derived from
-// the raw rows themselves instead of prev's claim indexes: rd must be a
-// point-in-time view of exactly the rows prev was built from plus fresh.
-// The two derivations are provably equivalent — a dirty entity's covering
-// sources are the sources holding any row on it, and a fact's positive
-// sources the sources holding that row, whether enumerated from prev's
-// fact-major claim table or from the rows — so the Extension is
-// bit-identical. The difference is the access path: the scan consults the
-// backend's zone maps and blooms, so a segment-backed store opens only
-// segments intersecting the dirty entity set.
-func ExtendDirtyScan(prev *model.Dataset, fresh []model.Row, dirty map[string]struct{}, rd Reader) (*Extension, error) {
-	if rd == nil {
-		return nil, fmt.Errorf("store: ExtendDirtyScan requires a reader")
-	}
-	return extendDirty(prev, nil, fresh, dirty, rd)
-}
-
-// ExtendDirtyIndexed is ExtendDirty (rd nil) or ExtendDirtyScan (rd
-// non-nil) with prev's entity-name index supplied by the caller: index
-// must map every prev entity name to its id, and is only read. A serving
-// snapshot already holds that index, so the extension then builds no map
-// proportional to the corpus — only the new entities' names are indexed.
-// The Extension is identical to the one the unindexed forms return.
+// ExtendDirtyIndexed is ExtendDirty with prev's entity-name index supplied
+// by the caller, and optionally a reader: index must map every prev entity
+// name to its id, and is only read. A serving snapshot already holds that
+// index, so the extension then builds no map proportional to the corpus —
+// only the new entities' names are indexed.
+//
+// rd, when non-nil, must be a point-in-time view of exactly the rows prev
+// was built from plus fresh; the cover/positive sets are then derived from
+// the dirty entities' raw rows instead of prev's claim indexes. The two
+// derivations are provably equivalent — a dirty entity's covering sources
+// are the sources holding any row on it, and a fact's positive sources the
+// sources holding that row — so the Extension is bit-identical either way.
+// The difference is the access path: the scan consults the backend's zone
+// maps and blooms, so a segment-backed store opens only segments
+// intersecting the dirty entity set.
 func ExtendDirtyIndexed(prev *model.Dataset, index map[string]int, fresh []model.Row, dirty map[string]struct{}, rd Reader) (*Extension, error) {
 	if index == nil {
 		return nil, fmt.Errorf("store: ExtendDirtyIndexed requires an entity index")
