@@ -18,9 +18,12 @@
 // confusion counts as sufficient statistics.
 //
 // Inference runs on a compiled engine (engine.go): the claim table
-// flattened once into a CSR-style layout and every log(count + α) of
-// Equation 2 memoized per source, with a verbatim Algorithm 1
-// transcription retained in reference.go as the bit-identical oracle.
+// flattened once into a CSR-style layout, every log(count + α) of
+// Equation 2 memoized per source, and a per-chain cache of each
+// (source, label, observation) cell's claim term, refreshed when a flip
+// moves its source's counts, so the sweep reads one cached term per label
+// per claim. A verbatim Algorithm 1 transcription is retained in
+// reference.go as the bit-identical oracle.
 // Alongside the one-call LTM.Fit, the package exposes a step-level Sampler
 // (sampler.go) — single sweeps, sample keeps, confusion-count
 // export/import, shared log tables — which is the substrate the

@@ -20,13 +20,20 @@ package core
 //     evaluates log(m + α_{s,i,j}) and log(m + α_{s,i,·}) for integer m in
 //     [0, deg(s)], so the full domain is tabulated up front (cost: one
 //     math.Log per entry, about 1.5 sweeps' worth of logs, amortized over
-//     the default 100 iterations) and the hot loop performs four array
-//     reads instead of four math.Log calls. Tables depend only on the
-//     layout and the priors — not on sampler state — so they need no
-//     invalidation and are shared read-only by parallel chains.
+//     the default 100 iterations). Tables depend only on the layout and
+//     the priors — not on sampler state — so they need no invalidation
+//     and are shared read-only by parallel chains.
 //
 //   - engine: the per-chain mutable state (truth vector, flat confusion
-//     counts, RNG, sample accumulators).
+//     counts, RNG, sample accumulators) plus a per-chain term cache. A
+//     claim's contribution to Equation 2 is one difference of two table
+//     reads that depends only on its (source, label, observation) cell and
+//     that source's counts, and the counts move only when a fact flips.
+//     So each chain keeps the differences themselves, two 4×sources
+//     tables (tc for the current label, with the −1 discount; ta for the
+//     alternative), filled at the start of every sweep and refreshed for
+//     the flipped fact's sources after each flip. The claim loop then does
+//     one read per label instead of four nested log-table reads.
 //
 // The engine consumes randomness in exactly the same order as the reference
 // sweep and performs the same floating-point operations on the same values
@@ -169,6 +176,9 @@ type engine struct {
 	// and their per-label margins, maintained incrementally.
 	n   []int32
 	tot []int32
+	// tc and ta cache each cell k = s*4+i*2+j's claim term (see fillTerms).
+	tc []float64
+	ta []float64
 	// cond[f] is the last conditional p(t_f = 1 | t_−f) of the sweep.
 	cond []float64
 	// sum[f] accumulates kept samples of t_f; samples counts them.
@@ -197,6 +207,8 @@ func newEngineState(lay *layout, tab *tables, cfg Config) *engine {
 		truth: make([]int8, lay.numFacts),
 		n:     make([]int32, 4*lay.numSources),
 		tot:   make([]int32, 2*lay.numSources),
+		tc:    make([]float64, 4*lay.numSources),
+		ta:    make([]float64, 4*lay.numSources),
 		cond:  make([]float64, lay.numFacts),
 		sum:   make([]float64, lay.numFacts),
 	}
@@ -252,26 +264,23 @@ func keepIteration(cfg Config, iter int) bool {
 
 // sweep resamples every fact once against the engine's own count tables.
 func (e *engine) sweep() {
-	lay, tab := e.lay, e.tab
+	lay := e.lay
+	e.fillTerms()
 	for f := range e.truth {
 		cur := int(e.truth[f])
 		alt := 1 - cur
 		// Log-space accumulation keeps long claim lists from
-		// underflowing the direct product of Algorithm 1. Every
-		// log(count + α) is a table read; no logs in the loop.
-		lcur := tab.logBeta[cur]
-		lalt := tab.logBeta[alt]
-		for _, c := range lay.claims[lay.offsets[f]:lay.offsets[f+1]] {
-			s4 := int(c.source) * 4
-			s2 := int(c.source) * 2
-			o := int(c.obs)
-			// Current label: this fact's claim is included in the
-			// counts, so discount it (the −1 terms of Algorithm 1).
-			icur := s4 + cur*2
-			lcur += tab.logNum[icur+o][e.n[icur+o]-1] - tab.logDen[s2+cur][e.tot[s2+cur]-1]
-			// Alternative label: counts exclude this fact already.
-			ialt := s4 + alt*2
-			lalt += tab.logNum[ialt+o][e.n[ialt+o]] - tab.logDen[s2+alt][e.tot[s2+alt]]
+		// underflowing the direct product of Algorithm 1. Each claim
+		// adds one cached term per label; no logs in the loop.
+		lcur := e.tab.logBeta[cur]
+		lalt := e.tab.logBeta[alt]
+		tcur := e.tc[cur*2:]
+		talt := e.ta[alt*2:]
+		claims := lay.claims[lay.offsets[f]:lay.offsets[f+1]]
+		for _, c := range claims {
+			k := int(c.source)*4 + int(c.obs)
+			lcur += tcur[k]
+			lalt += talt[k]
 		}
 		// P(flip) = exp(lalt) / (exp(lcur) + exp(lalt)).
 		pFlip := 1.0 / (1.0 + math.Exp(lcur-lalt))
@@ -281,9 +290,48 @@ func (e *engine) sweep() {
 			e.cond[f] = pFlip
 		}
 		if e.rng.Float64() < pFlip {
-			e.applyFact(f, cur, -1)
 			e.truth[f] = int8(alt)
-			e.applyFact(f, alt, +1)
+			for _, c := range claims {
+				s := int(c.source)
+				o := int(c.obs)
+				e.n[s*4+cur*2+o]--
+				e.tot[s*2+cur]--
+				e.n[s*4+alt*2+o]++
+				e.tot[s*2+alt]++
+				refreshTerms(e.tab, e.tc, e.ta, e.n, e.tot, s)
+			}
+		}
+	}
+}
+
+// fillTerms computes every source's cached claim terms from the current
+// counts. Run at the start of each sweep, it also picks up counts replaced
+// from outside (Sampler.SetCounts).
+func (e *engine) fillTerms() {
+	for s := 0; s < e.lay.numSources; s++ {
+		refreshTerms(e.tab, e.tc, e.ta, e.n, e.tot, s)
+	}
+}
+
+// refreshTerms recomputes source s's four cells of the term caches from
+// the counts n and tot. For cell k = s*4+i*2+j (margin k>>1 = s*2+i):
+//
+//	tc[k] = log(n[k]−1 + α_{s,i,j}) − log(tot[k>>1]−1 + α_{s,i,·})
+//	ta[k] = log(n[k]   + α_{s,i,j}) − log(tot[k>>1]   + α_{s,i,·})
+//
+// tc is the current-label term, with the claim's own count discounted (the
+// −1 terms of Algorithm 1); ta is the alternative-label term, whose counts
+// exclude the fact already. Each is the same float64 subtraction of the
+// same logarithms the reference sweep computes per claim, so sums of
+// cached terms are bit-identical to it. A tc cell with n[k] = 0 is left stale: no
+// claim can read it, since the claim reading it is itself counted in n[k].
+func refreshTerms(tab *tables, tc, ta []float64, n, tot []int32, s int) {
+	for k := s * 4; k < s*4+4; k++ {
+		m, t := n[k], tot[k>>1]
+		num, den := tab.logNum[k], tab.logDen[k>>1]
+		ta[k] = num[m] - den[t]
+		if m > 0 {
+			tc[k] = num[m-1] - den[t-1]
 		}
 	}
 }

@@ -179,46 +179,65 @@ func (s *Sampler) Probabilities() []float64 { return s.e.probabilities() }
 // SamplesKept returns the number of samples accumulated by Keep.
 func (s *Sampler) SamplesKept() int { return s.e.samples }
 
+// SharedCounts is the sharded fitter's exact-mode state: one set of
+// confusion counts indexed by GLOBAL source ids, shared by every shard's
+// sampler, together with its term cache (the engine's tc/ta, see
+// refreshTerms) over the global tables. Every fact initialization and flip
+// goes through InitFactShared/SampleFactShared, which keep the cache in
+// step with the counts.
+type SharedCounts struct {
+	tab    *tables
+	n, tot []int32
+	tc, ta []float64
+}
+
+// NewSharedCounts returns zeroed shared counts over gt's global sources.
+func (gt *Tables) NewSharedCounts() *SharedCounts {
+	ns := len(gt.t.alphaTot) / 2
+	return &SharedCounts{
+		tab: gt.t,
+		n:   make([]int32, 4*ns),
+		tot: make([]int32, 2*ns),
+		tc:  make([]float64, 4*ns),
+		ta:  make([]float64, 4*ns),
+	}
+}
+
 // InitFactShared draws fact f's uniform initial truth from rng and counts
-// its claims into the shared tables n and tot, which are indexed by GLOBAL
-// source ids through src2g (src2g[localSource] = globalSource). It is the
+// its claims into the shared counts sc, which are indexed by GLOBAL source
+// ids through src2g (src2g[localSource] = globalSource). It is the
 // exact-mode counterpart of the engine's own initialization and consumes
 // one rng draw, like it.
-func (s *Sampler) InitFactShared(f int, rng *stats.RNG, n, tot []int32, src2g []int32) {
+func (s *Sampler) InitFactShared(f int, rng *stats.RNG, sc *SharedCounts, src2g []int32) {
 	e := s.e
 	if rng.Float64() < 0.5 {
 		e.truth[f] = 0
 	} else {
 		e.truth[f] = 1
 	}
-	e.applyFactShared(f, int(e.truth[f]), +1, n, tot, src2g)
+	e.applyFactShared(f, int(e.truth[f]), +1, sc, src2g)
 }
 
 // SampleFactShared resamples local fact f against the shared, globally
-// indexed count tables n and tot, drawing from rng and updating the tables
-// in place on a flip. The per-claim log reads go through the sampler's own
-// tables (indexed by local source ids — hence the tables must have been
-// built with global count domains via SamplerSpec.Deg/ObsDeg), so the
-// floating-point operations are bit-identical to the single-engine sweep's
-// when the shared counts are kept globally synchronized. This is the
-// sharded fitter's exact (S=1 barrier) mode.
-func (s *Sampler) SampleFactShared(f int, rng *stats.RNG, n, tot []int32, src2g []int32) {
+// indexed counts sc, drawing from rng and updating sc in place on a flip.
+// Each claim adds sc's cached terms, computed from the global tables (the
+// ones the sampler's own tables alias), so the floating-point operations
+// are bit-identical to the single-engine sweep's when every fact of the
+// dataset is sampled through the same sc. This is the sharded fitter's
+// exact (S=1 barrier) mode.
+func (s *Sampler) SampleFactShared(f int, rng *stats.RNG, sc *SharedCounts, src2g []int32) {
 	e := s.e
-	lay, tab := e.lay, e.tab
+	lay := e.lay
 	cur := int(e.truth[f])
 	alt := 1 - cur
-	lcur := tab.logBeta[cur]
-	lalt := tab.logBeta[alt]
+	lcur := sc.tab.logBeta[cur]
+	lalt := sc.tab.logBeta[alt]
+	tcur := sc.tc[cur*2:]
+	talt := sc.ta[alt*2:]
 	for _, c := range lay.claims[lay.offsets[f]:lay.offsets[f+1]] {
-		ls4 := int(c.source) * 4
-		ls2 := int(c.source) * 2
-		gs4 := int(src2g[c.source]) * 4
-		gs2 := int(src2g[c.source]) * 2
-		o := int(c.obs)
-		icur := cur * 2
-		lcur += tab.logNum[ls4+icur+o][n[gs4+icur+o]-1] - tab.logDen[ls2+cur][tot[gs2+cur]-1]
-		ialt := alt * 2
-		lalt += tab.logNum[ls4+ialt+o][n[gs4+ialt+o]] - tab.logDen[ls2+alt][tot[gs2+alt]]
+		k := int(src2g[c.source])*4 + int(c.obs)
+		lcur += tcur[k]
+		lalt += talt[k]
 	}
 	pFlip := 1.0 / (1.0 + math.Exp(lcur-lalt))
 	if cur == 1 {
@@ -227,21 +246,22 @@ func (s *Sampler) SampleFactShared(f int, rng *stats.RNG, n, tot []int32, src2g 
 		e.cond[f] = pFlip
 	}
 	if rng.Float64() < pFlip {
-		e.applyFactShared(f, cur, -1, n, tot, src2g)
+		e.applyFactShared(f, cur, -1, sc, src2g)
 		e.truth[f] = int8(alt)
-		e.applyFactShared(f, alt, +1, n, tot, src2g)
+		e.applyFactShared(f, alt, +1, sc, src2g)
 	}
 }
 
-// applyFactShared adds delta to the globally indexed shared counts for all
-// claims of fact f under truth label i.
-func (e *engine) applyFactShared(f, i, delta int, n, tot []int32, src2g []int32) {
+// applyFactShared adds delta to the shared counts for all claims of fact f
+// under truth label i and refreshes the cached terms of their sources.
+func (e *engine) applyFactShared(f, i, delta int, sc *SharedCounts, src2g []int32) {
 	d := int32(delta)
 	i2 := i * 2
 	for _, c := range e.lay.claims[e.lay.offsets[f]:e.lay.offsets[f+1]] {
 		gs := int(src2g[c.source])
-		n[gs*4+i2+int(c.obs)] += d
-		tot[gs*2+i] += d
+		sc.n[gs*4+i2+int(c.obs)] += d
+		sc.tot[gs*2+i] += d
+		refreshTerms(sc.tab, sc.tc, sc.ta, sc.n, sc.tot, gs)
 	}
 }
 

@@ -2,7 +2,6 @@ package segment
 
 import (
 	"bufio"
-	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -82,19 +81,55 @@ func Write(dir string, id uint64, firstRow int, rows []model.Row) (Ref, error) {
 	if len(rows) == 0 || len(rows) > math.MaxInt32 {
 		return Ref{}, fmt.Errorf("segment: refusing to seal %d rows into segment %d", len(rows), id)
 	}
-	// Sort row positions rather than row copies: 4 bytes per row keeps the
-	// transient memory of sealing a large corpus small. Ties keep
-	// insertion order, so the sort is stable.
-	order := make([]int32, len(rows))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortFunc(order, func(a, b int32) int {
-		if c := strings.Compare(rows[a].Entity, rows[b].Entity); c != 0 {
-			return c
+	return write(dir, id, firstRow, rows, entityOrder(rows))
+}
+
+// entityOrder returns the row positions stably sorted by entity name: each
+// entity's positions in insertion order, entities in name order. It groups
+// positions by entity and sorts only the distinct names, so an entity with
+// k rows costs one name in the comparison sort instead of k. Positions
+// rather than row copies keep the transient memory of sealing a large
+// corpus small.
+func entityOrder(rows []model.Row) []int32 {
+	group := make([]int32, len(rows))
+	byName := make(map[string]int32)
+	var names []string
+	var size []int32
+	for i, r := range rows {
+		g, ok := byName[r.Entity]
+		if !ok {
+			g = int32(len(names))
+			byName[r.Entity] = g
+			names = append(names, r.Entity)
+			size = append(size, 0)
 		}
-		return cmp.Compare(a, b)
-	})
+		group[i] = g
+		size[g]++
+	}
+	sorted := make([]int32, len(names))
+	for g := range sorted {
+		sorted[g] = int32(g)
+	}
+	slices.SortFunc(sorted, func(a, b int32) int { return strings.Compare(names[a], names[b]) })
+	// next[g] is where group g's next position goes in the output; it
+	// starts at the total size of the groups sorted before g.
+	next := make([]int32, len(names))
+	at := int32(0)
+	for _, g := range sorted {
+		next[g] = at
+		at += size[g]
+	}
+	order := make([]int32, len(rows))
+	for i, g := range group {
+		order[next[g]] = int32(i)
+		next[g]++
+	}
+	return order
+}
+
+// write is Write with the row order given: order lists every position of
+// rows once, sorted by entity name.
+func write(dir string, id uint64, firstRow int, rows []model.Row, order []int32) (Ref, error) {
 	entity := func(i int) string { return rows[order[i]].Entity }
 
 	ft := footer{

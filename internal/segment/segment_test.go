@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -55,6 +57,57 @@ func TestRoundTripPreservesInsertionOrder(t *testing.T) {
 	for i, want := range rows {
 		if got[100+i] != want {
 			t.Fatalf("row %d: got %+v want %+v", i, got[100+i], want)
+		}
+	}
+}
+
+// TestEntityOrderMatchesStableSort pins the seal order: grouping rows by
+// entity and sorting only the distinct names must write the same bytes as a
+// stable sort of every row position by entity name. The rows are random,
+// with many rows per entity, names that are prefixes of one another, and
+// whole duplicate rows, so equal keys are common.
+func TestEntityOrderMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 9))
+	for trial := 0; trial < 20; trial++ {
+		n := 1 + rng.IntN(4000)
+		entities := 1 + rng.IntN(n)
+		rows := make([]model.Row, n)
+		for i := range rows {
+			e := rng.IntN(entities)
+			rows[i] = model.Row{
+				Entity:    strings.Repeat("e", 1+e%3) + fmt.Sprint(e/3),
+				Attribute: fmt.Sprintf("a%d", rng.IntN(3)),
+				Source:    fmt.Sprintf("s%d", rng.IntN(5)),
+			}
+		}
+		want := make([]int32, n)
+		for i := range want {
+			want[i] = int32(i)
+		}
+		slices.SortStableFunc(want, func(a, b int32) int {
+			return strings.Compare(rows[a].Entity, rows[b].Entity)
+		})
+		if got := entityOrder(rows); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: entityOrder differs from the stable sort", trial)
+		}
+		refDir, dir := t.TempDir(), t.TempDir()
+		if _, err := write(refDir, 1, trial, rows, want); err != nil {
+			t.Fatal(err)
+		}
+		ref, err := Write(dir, 1, trial, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := os.ReadFile(filepath.Join(refDir, ref.Filename()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(dir, ref.Filename()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(a, b) {
+			t.Fatalf("trial %d (%d rows, %d entities): segment bytes differ", trial, n, entities)
 		}
 	}
 }

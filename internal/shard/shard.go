@@ -192,9 +192,6 @@ func (f *Fitter) Fit(cfg core.Config, syncEvery int) (*core.FitResult, error) {
 // parallelize — it exists as the bit-identical fallback and as the
 // equivalence oracle for the shard bookkeeping.
 func (f *Fitter) fitExact(rcfg core.Config) error {
-	ns := f.ds.NumSources()
-	n := make([]int32, 4*ns)
-	tot := make([]int32, 2*ns)
 	// One global log-table build shared by every shard: the per-shard
 	// samplers alias per-source table slices through src2g, so table cost
 	// does not multiply with the shard count.
@@ -211,15 +208,16 @@ func (f *Fitter) fitExact(rcfg core.Config) error {
 		}
 		p.smp = smp
 	}
+	sc := glob.NewSharedCounts()
 	rng := stats.NewRNG(rcfg.Seed)
 	for _, d := range f.dispatch {
 		p := f.parts[d[0]]
-		p.smp.InitFactShared(int(d[1]), rng, n, tot, p.src2g)
+		p.smp.InitFactShared(int(d[1]), rng, sc, p.src2g)
 	}
 	for iter := 1; iter <= rcfg.Iterations; iter++ {
 		for _, d := range f.dispatch {
 			p := f.parts[d[0]]
-			p.smp.SampleFactShared(int(d[1]), rng, n, tot, p.src2g)
+			p.smp.SampleFactShared(int(d[1]), rng, sc, p.src2g)
 		}
 		if core.KeepIteration(rcfg, iter) {
 			for _, p := range f.parts {
