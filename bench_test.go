@@ -1070,7 +1070,6 @@ func newDirtyBenchServer(dur latenttruth.DurabilityConfig) (*latenttruth.TruthSe
 		Policy:        latenttruth.RefitDirty,
 		FullEvery:     1 << 30, // dirty refits only; the anchor is explicit
 		RefitInterval: -1,
-		Shards:        8,
 		Durability:    dur,
 	})
 	if err != nil {

@@ -7,10 +7,9 @@
 // Usage:
 //
 //	truthserve [-addr :8080] [-policy full|online|dirty]
-//	           [-refit-dirty]
 //	           [-refit-interval 2s] [-full-every 10] [-min-batch 1]
 //	           [-threshold 0.5] [-iterations 100] [-seed 1]
-//	           [-shards 1] [-sync-every 5] [-preload triples.csv]
+//	           [-preload triples.csv]
 //	           [-data-dir state/] [-storage memory|segments]
 //	           [-fsync always|interval|never]
 //	           [-fsync-interval 100ms] [-segment-bytes 67108864]
@@ -20,17 +19,12 @@
 //	           [-log-level debug|info|warn|error] [-slow-request 1s]
 //	           [-pprof 127.0.0.1:6060]
 //
-// With -policy dirty (or the -refit-dirty shorthand), each refit
+// With -policy dirty, each refit
 // re-sweeps only the entities touched since the last snapshot and
 // scatters the fresh posteriors into a copy-on-write probability vector —
 // refit cost scales with the dirty set, not the corpus — while
 // -full-every full refits re-anchor against drift. /stats reports the
 // staleness bound as freshness_ms.
-//
-// With -shards N (N > 1), full refits run the entity-sharded parallel
-// fitter — the cumulative dataset is partitioned by entity and swept
-// concurrently with per-source counts reconciled every -sync-every
-// sweeps — so background refits scale across cores as history grows.
 //
 // With -data-dir, the daemon is crash-safe: every acknowledged claim
 // batch is written ahead to a segmented, CRC-framed WAL before the HTTP
@@ -124,7 +118,6 @@ func run() error {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
 		policy     = flag.String("policy", "full", "refit policy: full, online or dirty")
-		refitDirty = flag.Bool("refit-dirty", false, "shorthand for -policy dirty (dirty-entity delta refits)")
 		interval   = flag.Duration("refit-interval", 2*time.Second, "background refit period (0 disables the timer; use POST /refit)")
 		fullEvery  = flag.Int("full-every", 10, "force a full engine refit every n-th refit under the online and dirty policies")
 		minBatch   = flag.Int("min-batch", 1, "pending claims required before a timed refit fires")
@@ -132,8 +125,6 @@ func run() error {
 		iterations = flag.Int("iterations", 0, "Gibbs iterations per full refit (0 = default 100)")
 		seed       = flag.Int64("seed", 1, "sampler seed")
 		priorFacts = flag.Int("prior-facts", 0, "pin priors to DefaultPriors(n) instead of resolving them from the local corpus size (set identically on every cluster partition)")
-		shards     = flag.Int("shards", 1, "entity shards for full refits (1 = single engine)")
-		syncEvery  = flag.Int("sync-every", 0, "shard count-sync interval in sweeps (1 = exact mode, 0 = default)")
 		preload    = flag.String("preload", "", "triples CSV to ingest before serving (optional)")
 
 		dataDir       = flag.String("data-dir", "", "state directory for the WAL and checkpoints (empty = memory-only)")
@@ -181,13 +172,6 @@ func run() error {
 			fmt.Sprintf("routing %d partitions", len(strings.Split(*route, ","))))
 	}
 
-	if *refitDirty {
-		if *policy != "full" && *policy != string(latenttruth.RefitDirty) {
-			return fmt.Errorf("-refit-dirty conflicts with -policy %s", *policy)
-		}
-		*policy = string(latenttruth.RefitDirty)
-	}
-
 	ltmCfg := latenttruth.Config{Iterations: *iterations, Seed: *seed}
 	if *priorFacts > 0 {
 		// The default priors scale with the corpus: each partition of a
@@ -205,8 +189,6 @@ func run() error {
 		FullEvery:     *fullEvery,
 		RefitInterval: *interval,
 		MinBatch:      *minBatch,
-		Shards:        *shards,
-		SyncEvery:     *syncEvery,
 		Storage:       *storage,
 		Durability: latenttruth.DurabilityConfig{
 			DataDir:           *dataDir,

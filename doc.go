@@ -27,9 +27,8 @@
 // (FitSharded / CompileSharded): the claim store is partitioned by entity,
 // shards are swept concurrently, and the global per-source confusion
 // counts are reconciled at a configurable sync interval — sync interval 1
-// is an exact mode, bit-identical to the single-engine fit. The same shard
-// layer powers the truth-serving daemon's background refits
-// (NewTruthServer with ServeConfig.Shards).
+// is an exact mode, bit-identical to the single-engine fit. The
+// truth-serving daemon's background refits use the single engine.
 //
 // The serving daemon (NewTruthServer) scales writes with durability
 // (DurabilityConfig: write-ahead log + checkpoints + crash recovery) and

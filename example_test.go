@@ -151,8 +151,6 @@ func ExampleNewTruthServer() {
 	srv, err := latenttruth.NewTruthServer(latenttruth.ServeConfig{
 		LTM:           latenttruth.Config{Iterations: 200, Seed: 7},
 		RefitInterval: -1, // refit on demand here; production uses the timer
-		Shards:        2,  // entity-sharded full refits
-		SyncEvery:     1,  // exact mode: bit-identical to the single engine
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -7,7 +7,6 @@ import (
 	"latenttruth/internal/core"
 	"latenttruth/internal/model"
 	"latenttruth/internal/serve"
-	"latenttruth/internal/shard"
 )
 
 // MergeQuality folds the partitions' per-source expected confusion counts
@@ -43,7 +42,7 @@ func MergeQuality(parts []serve.PartitionQuality) ([]model.SourceQuality, error)
 	}
 	var global map[string][2][2]float64
 	for _, p := range parts {
-		global = shard.MergeCounts(global, p.Counts)
+		global = mergeCounts(global, p.Counts)
 	}
 	names := make([]string, 0, len(global))
 	for name := range global {
@@ -55,4 +54,26 @@ func MergeQuality(parts []serve.PartitionQuality) ([]model.SourceQuality, error)
 		rows = append(rows, core.QualityFromCounts(name, global[name], base.Priors))
 	}
 	return core.RankedQuality(rows), nil
+}
+
+// mergeCounts folds one partition's per-source expected-count contribution
+// into a global accumulator. The merge is a plain sum and is exact in the
+// sense that every claim belongs to exactly one partition, so no cell is
+// ever counted twice; the cells are float64 expected counts
+// (posterior-weighted), so the result depends on float addition order and
+// callers must fold contributions in a fixed partition order.
+func mergeCounts(global map[string][2][2]float64, contrib map[string][2][2]float64) map[string][2][2]float64 {
+	if global == nil {
+		global = make(map[string][2][2]float64, len(contrib))
+	}
+	for name, e := range contrib {
+		acc := global[name]
+		for i := 0; i <= 1; i++ {
+			for j := 0; j <= 1; j++ {
+				acc[i][j] += e[i][j]
+			}
+		}
+		global[name] = acc
+	}
+	return global
 }

@@ -14,7 +14,6 @@ import (
 	"latenttruth/internal/model"
 	"latenttruth/internal/obs"
 	"latenttruth/internal/serve"
-	"latenttruth/internal/shard"
 	"latenttruth/internal/store"
 	"latenttruth/internal/wal"
 )
@@ -48,7 +47,7 @@ func TestMergeQualitySinglePartitionIdentity(t *testing.T) {
 
 // TestMergeQualityEqualsJointCounts: splitting a count table between
 // partitions and merging gives bit-identical quality to the closed form
-// over the partition-order sum — MergeCounts is the fold, QualityFromCounts
+// over the partition-order sum — mergeCounts is the fold, QualityFromCounts
 // the read-off, so the equality is exact, not approximate.
 func TestMergeQualityEqualsJointCounts(t *testing.T) {
 	p0 := map[string][2][2]float64{
@@ -63,8 +62,8 @@ func TestMergeQualityEqualsJointCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	joint := shard.MergeCounts(nil, p0)
-	joint = shard.MergeCounts(joint, p1)
+	joint := mergeCounts(nil, p0)
+	joint = mergeCounts(joint, p1)
 	byName := make(map[string]int)
 	for i, row := range merged {
 		byName[row.Source] = i

@@ -31,9 +31,9 @@ type Config struct {
 	// Serve is the follower's serving configuration. Durability.DataDir is
 	// required (the mirrored log is the restart state); FollowerOf is set
 	// automatically. For bit-identical snapshots the model-relevant fields
-	// (LTM, Policy, FullEvery, Threshold, Shards, SyncEvery) must match
-	// the primary's — a mismatch is detected via the checkpoint's config
-	// hash and demotes the follower to re-deriving quality on its own.
+	// (LTM, Policy, FullEvery, Threshold) must match the primary's — a
+	// mismatch is detected via the checkpoint's config hash and demotes the
+	// follower to re-deriving quality on its own.
 	Serve serve.Config
 	// ID identifies this follower to the primary (its truncation cursor
 	// key). Empty generates one and persists it in DataDir/follower.id so

@@ -12,7 +12,7 @@ import (
 
 // injectFitFailure arms the server's test-only fit hook to fail exactly
 // once, after the drain cut but before any model work — the spot where a
-// real engine error (OOM, shard panic recovery, bad priors) would surface.
+// real engine error (OOM, bad priors) would surface.
 func injectFitFailure(s *Server) error {
 	boom := errors.New("injected fit failure")
 	s.testFitErr = func() error {
@@ -173,52 +173,45 @@ func TestCompactedCountSurvivesFailedFit(t *testing.T) {
 // TestDirtyRefitAllDirtyMatchesFull is the equivalence property anchoring
 // the fast path: when every entity is dirty there is no clean remainder to
 // keep, and the dirty policy must produce a snapshot bit-identical to a
-// full-policy server fed the same batches — across shard counts, since the
-// sharded and single-engine fits are both deterministic.
+// full-policy server fed the same batches.
 func TestDirtyRefitAllDirtyMatchesFull(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			mk := func(policy RefitPolicy) *Server {
-				cfg := testConfig(policy)
-				cfg.Shards = shards
-				cfg.FullEvery = 100
-				s, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { s.Close() })
-				return s
-			}
-			d, f := mk(RefitDirty), mk(RefitFull)
+	mk := func(policy RefitPolicy) *Server {
+		cfg := testConfig(policy)
+		cfg.FullEvery = 100
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s
+	}
+	d, f := mk(RefitDirty), mk(RefitFull)
 
-			rows := positiveRows(testCorpus(t, 7).Dataset)
-			entities := map[string]struct{}{}
-			for _, r := range rows {
-				entities[r.Entity] = struct{}{}
-			}
-			mustIngest(t, d, rows)
-			mustIngest(t, f, rows)
-			mustEqualSnapshots(t, mustRefit(t, d), mustRefit(t, f))
+	rows := positiveRows(testCorpus(t, 7).Dataset)
+	entities := map[string]struct{}{}
+	for _, r := range rows {
+		entities[r.Entity] = struct{}{}
+	}
+	mustIngest(t, d, rows)
+	mustIngest(t, f, rows)
+	mustEqualSnapshots(t, mustRefit(t, d), mustRefit(t, f))
 
-			// Two rounds of batches that touch EVERY entity: the dirty
-			// server must detect the degenerate case and match the full
-			// server exactly.
-			for r := 0; r < 2; r++ {
-				var batch []model.Row
-				for e := range entities {
-					batch = append(batch,
-						model.Row{Entity: e, Attribute: fmt.Sprintf("x%d", r), Source: "good"},
-						model.Row{Entity: e, Attribute: fmt.Sprintf("x%d", r), Source: "messy"})
-				}
-				mustIngest(t, d, batch)
-				mustIngest(t, f, batch)
-				sd, sf := mustRefit(t, d), mustRefit(t, f)
-				if sd.Mode != RefitFull {
-					t.Fatalf("round %d: all-dirty refit mode %q, want full fallback", r, sd.Mode)
-				}
-				mustEqualSnapshots(t, sd, sf)
-			}
-		})
+	// Two rounds of batches that touch EVERY entity: the dirty server must
+	// detect the degenerate case and match the full server exactly.
+	for r := 0; r < 2; r++ {
+		var batch []model.Row
+		for e := range entities {
+			batch = append(batch,
+				model.Row{Entity: e, Attribute: fmt.Sprintf("x%d", r), Source: "good"},
+				model.Row{Entity: e, Attribute: fmt.Sprintf("x%d", r), Source: "messy"})
+		}
+		mustIngest(t, d, batch)
+		mustIngest(t, f, batch)
+		sd, sf := mustRefit(t, d), mustRefit(t, f)
+		if sd.Mode != RefitFull {
+			t.Fatalf("round %d: all-dirty refit mode %q, want full fallback", r, sd.Mode)
+		}
+		mustEqualSnapshots(t, sd, sf)
 	}
 }
 

@@ -1,8 +1,7 @@
 // Package serve implements the always-on truth-serving layer: a long-lived
 // HTTP/JSON daemon that ingests (entity, attribute, source) triples while
 // they arrive, periodically refits the Latent Truth Model in the background
-// (full engine refit — optionally entity-sharded across cores via
-// internal/shard — or the §5.4 online and dirty-entity fast paths, policy
+// (full engine refit or the §5.4 online and dirty-entity fast paths, policy
 // configurable), and answers truth, quality and stats queries from an
 // immutable fitted Snapshot swapped in with an atomic pointer — readers are
 // never blocked by a refit and never observe a half-updated model.

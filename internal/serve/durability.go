@@ -100,8 +100,8 @@ func configHash(c Config) string {
 	for _, name := range names {
 		fmt.Fprintf(h, "src:%q=%v|", name, ltm.SourcePriors[name])
 	}
-	fmt.Fprintf(h, "threshold=%v|policy=%s|fullevery=%d|shards=%d|sync=%d",
-		c.Threshold, c.Policy, c.FullEvery, c.Shards, c.SyncEvery)
+	fmt.Fprintf(h, "threshold=%v|policy=%s|fullevery=%d",
+		c.Threshold, c.Policy, c.FullEvery)
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
@@ -179,7 +179,6 @@ func (s *Server) openDurable() error {
 				rec.Log.Close()
 				return fmt.Errorf("serve: checkpoint %d policy state: %w", m.Seq, err)
 			}
-			online.SetSharding(s.cfg.Shards, s.cfg.SyncEvery)
 			s.online = online
 		}
 	}

@@ -425,7 +425,6 @@ func (s *Server) ensureOnline(numFacts int) error {
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
-	o.SetSharding(s.cfg.Shards, s.cfg.SyncEvery)
 	s.online = o
 	return nil
 }

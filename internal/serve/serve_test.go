@@ -620,57 +620,3 @@ func TestNewRejectsBadConfig(t *testing.T) {
 
 // urlQuery escapes a query parameter value.
 func urlQuery(s string) string { return url.QueryEscape(s) }
-
-// TestServerShardedRefit: a server with Shards configured must publish,
-// in exact mode (SyncEvery=1), snapshots with the same truth table as an
-// unsharded server fed the same claims, and must reject negative
-// sharding knobs.
-func TestServerShardedRefit(t *testing.T) {
-	rows := positiveRows(testCorpus(t, 8).Dataset)
-
-	snapshotOf := func(cfg Config) *Snapshot {
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		if _, err := s.Ingest(rows); err != nil {
-			t.Fatal(err)
-		}
-		snap, err := s.Refit("")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return snap
-	}
-
-	plain := snapshotOf(testConfig(RefitFull))
-	cfg := testConfig(RefitFull)
-	cfg.Shards, cfg.SyncEvery = 3, 1
-	sharded := snapshotOf(cfg)
-
-	want, got := plain.AllTruth(), sharded.AllTruth()
-	if len(want) != len(got) {
-		t.Fatalf("truth table sizes differ: %d vs %d", len(want), len(got))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("truth row %d differs: %+v vs %+v", i, want[i], got[i])
-		}
-	}
-
-	// Parallel mode serves a valid snapshot too (tolerance asserted at the
-	// shard layer; here we only require a complete, consistent table).
-	cfg = testConfig(RefitFull)
-	cfg.Shards, cfg.SyncEvery = 3, 5
-	if par := snapshotOf(cfg).AllTruth(); len(par) != len(want) {
-		t.Fatalf("parallel sharded truth table has %d rows, want %d", len(par), len(want))
-	}
-
-	if _, err := New(Config{Shards: -1}); err == nil {
-		t.Fatal("negative Shards accepted")
-	}
-	if _, err := New(Config{SyncEvery: -1}); err == nil {
-		t.Fatal("negative SyncEvery accepted")
-	}
-}

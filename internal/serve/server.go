@@ -72,15 +72,6 @@ type Config struct {
 	// refit fires (default 1: any pending claim triggers a refit). Forced
 	// refits ignore it.
 	MinBatch int
-	// Shards, when > 1, runs every full refit through the entity-sharded
-	// fitter (internal/shard): the cumulative dataset is partitioned by
-	// entity and swept concurrently, with per-source counts reconciled
-	// every SyncEvery sweeps. 0 or 1 keeps the single-engine refit.
-	Shards int
-	// SyncEvery is the shard count-reconciliation interval in sweeps:
-	// 1 forces the exact (bit-identical, sequential) barrier mode, 0 the
-	// shard package's default. Ignored unless Shards > 1.
-	SyncEvery int
 	// Durability, when DataDir is set, makes the server crash-safe: every
 	// accepted batch is written ahead to a segmented WAL before it is
 	// acknowledged, every published snapshot is checkpointed, and startup
@@ -226,12 +217,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.FullEvery < 0 {
 		return nil, fmt.Errorf("serve: FullEvery = %d must be non-negative", cfg.FullEvery)
-	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("serve: Shards = %d must be non-negative", cfg.Shards)
-	}
-	if cfg.SyncEvery < 0 {
-		return nil, fmt.Errorf("serve: SyncEvery = %d must be non-negative", cfg.SyncEvery)
 	}
 	if f := cfg.Durability.Fsync; f != "" && !f.Valid() {
 		return nil, fmt.Errorf("serve: unknown fsync policy %q", f)

@@ -33,8 +33,9 @@
 //     globally bounded log tables) and is the fallback for small data or
 //     reproducibility-sensitive runs; it does not parallelize.
 //
-// The shard layer is consumed by stream.Online.Refit (periodic full
-// retrains of §5.4) and by the serve daemon's full-refit policy, so
-// truthserve refits scale across cores; cmd/truthfind and cmd/experiments
-// expose it via -shards/-sync-every.
+// The shard layer is a library and command-line experiment: the facade's
+// FitSharded/CompileSharded, cmd/truthfind -shards/-sync-every and
+// cmd/experiments -run sharded. The serving daemon's refits run the single
+// engine, because a sharded refit would re-split the whole corpus by
+// entity on every refit.
 package shard

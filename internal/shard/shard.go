@@ -348,27 +348,3 @@ func Fit(ds *model.Dataset, cfg Config) (*core.FitResult, error) {
 	}
 	return f.Fit(cfg.LTM, cfg.SyncEvery)
 }
-
-// MergeCounts is the exported, cluster-level form of the reconcile barrier:
-// it folds one partition's per-source expected-count contribution into a
-// global accumulator. Like reconcile, the merge is a plain sum and is exact
-// in the sense that every claim belongs to exactly one partition, so no
-// cell is ever counted twice; unlike the in-process barrier the cells are
-// float64 expected counts (posterior-weighted), so cross-partition merges
-// commute up to float addition order. Callers that need a deterministic
-// result must fold contributions in a fixed partition order.
-func MergeCounts(global map[string][2][2]float64, contrib map[string][2][2]float64) map[string][2][2]float64 {
-	if global == nil {
-		global = make(map[string][2][2]float64, len(contrib))
-	}
-	for name, e := range contrib {
-		acc := global[name]
-		for i := 0; i <= 1; i++ {
-			for j := 0; j <= 1; j++ {
-				acc[i][j] += e[i][j]
-			}
-		}
-		global[name] = acc
-	}
-	return global
-}

@@ -13,7 +13,7 @@
 //     all, the fastest path (Table 9's LTMinc row).
 //
 // Online.Refit covers §5.4's "periodically the model can then be
-// retrained batch-style on the total cumulative data"; with SetSharding
-// it runs the entity-sharded parallel fitter (internal/shard) so the one
-// unbounded sweep in the pipeline scales across cores.
+// retrained batch-style on the total cumulative data" with one
+// single-engine fit, and Online.StepDirty re-sweeps only the entities a
+// batch touched, conditioned on the quality accumulated from the rest.
 package stream

@@ -6,17 +6,12 @@ import (
 
 	"latenttruth/internal/core"
 	"latenttruth/internal/model"
-	"latenttruth/internal/shard"
 )
 
 // Online is a stateful incremental truth finder. It is not safe for
 // concurrent use.
 type Online struct {
 	base core.Config
-	// shards/syncEvery configure entity-sharded periodic refits; see
-	// SetSharding.
-	shards    int
-	syncEvery int
 	// counts[source][i][j] accumulates expected confusion counts over all
 	// processed batches.
 	counts map[string]*[2][2]float64
@@ -36,19 +31,6 @@ func NewOnline(base core.Config) (*Online, error) {
 		return nil, err
 	}
 	return &Online{base: base, counts: make(map[string]*[2][2]float64)}, nil
-}
-
-// SetSharding configures entity-sharded execution for Refit: shards > 1
-// partitions the cumulative dataset by entity and sweeps the shards
-// concurrently with per-source counts reconciled every syncEvery sweeps
-// (internal/shard). shards <= 1 restores the single-engine refit;
-// syncEvery 1 selects the exact (bit-identical) barrier mode and 0 the
-// shard package's default interval. Step and Predict are unaffected —
-// batches are small by construction; the cumulative refit is the sweep
-// that grows without bound.
-func (o *Online) SetSharding(shards, syncEvery int) {
-	o.shards = shards
-	o.syncEvery = syncEvery
 }
 
 // Batches returns the number of batches processed by Step so far.
@@ -130,9 +112,6 @@ func (o *Online) Step(batch *model.Dataset) (*core.FitResult, error) {
 // Negative cells (float cancellation noise between a sum and its partial
 // re-sum) are clamped to zero; the periodic full Refit re-anchors the
 // accumulator exactly, bounding any drift.
-//
-// When sharding is configured, the sub fit runs the entity-sharded fitter
-// with the shard count capped at the sub-dataset's entity count.
 func (o *Online) StepDirty(sub *model.Dataset, prevContrib map[string][2][2]float64) (*core.FitResult, error) {
 	cfg := o.base
 	sp := make(map[string]core.Priors, sub.NumSources())
@@ -161,11 +140,7 @@ func (o *Online) StepDirty(sub *model.Dataset, prevContrib map[string][2][2]floa
 		}
 	}
 	cfg.SourcePriors = sp
-	shards := o.shards
-	if n := sub.NumEntities(); shards > n {
-		shards = n
-	}
-	fit, err := shard.Fit(sub, shard.Config{Shards: shards, SyncEvery: o.syncEvery, LTM: cfg})
+	fit, err := core.New(cfg).Fit(sub)
 	if err != nil {
 		return nil, fmt.Errorf("stream: dirty step: %w", err)
 	}
@@ -198,12 +173,8 @@ func (o *Online) StepDirty(sub *model.Dataset, prevContrib map[string][2][2]floa
 // accumulated expected counts with the refit's. The caller is responsible
 // for retaining and merging the arrived batches (see store.Merge).
 // Batch and fact counters are reset to reflect the refit dataset.
-//
-// When sharding is configured (SetSharding), the refit runs the
-// entity-sharded fitter over the cumulative dataset so the one
-// whole-history sweep in the streaming pipeline scales across cores.
 func (o *Online) Refit(cumulative *model.Dataset) (*core.FitResult, error) {
-	fit, err := shard.Fit(cumulative, shard.Config{Shards: o.shards, SyncEvery: o.syncEvery, LTM: o.base})
+	fit, err := core.New(o.base).Fit(cumulative)
 	if err != nil {
 		return nil, fmt.Errorf("stream: refit: %w", err)
 	}
@@ -258,8 +229,7 @@ func (o *Online) State() State {
 }
 
 // RestoreOnline reconstructs an online truth finder from a checkpointed
-// State: base supplies the fit configuration (iterations, seed, sharding
-// defaults, ...) while the priors and accumulated counts come from the
+// State: base supplies the fit configuration (iterations, seed, ...) while the priors and accumulated counts come from the
 // state, so a restored accumulator predicts and refits bit-identically to
 // the one that was checkpointed.
 func RestoreOnline(base core.Config, st State) (*Online, error) {

@@ -240,70 +240,6 @@ func TestOnlineQualityBounds(t *testing.T) {
 	}
 }
 
-// TestOnlineShardedRefit: a refit with sharding configured must behave
-// like the single-engine refit — bit-identically in exact mode (S=1) and
-// within posterior tolerance in parallel mode — and must leave the
-// accumulated quality usable by Predict.
-func TestOnlineShardedRefit(t *testing.T) {
-	c := testCorpus(t, 4)
-	base := core.Config{Priors: core.DefaultPriors(300), Seed: 5, Iterations: 40, BurnIn: 10}
-
-	single, err := NewOnline(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := single.Refit(c.Dataset)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	exact, err := NewOnline(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact.SetSharding(3, 1)
-	fit, err := exact.Refit(c.Dataset)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ref.Prob {
-		if fit.Prob[i] != ref.Prob[i] {
-			t.Fatalf("exact sharded refit drifted at fact %d: %v != %v", i, fit.Prob[i], ref.Prob[i])
-		}
-	}
-	qa, qb := single.Quality(), exact.Quality()
-	for i := range qa {
-		if qa[i] != qb[i] {
-			t.Fatalf("accumulated quality drifted for source %s", qa[i].Source)
-		}
-	}
-
-	par, err := NewOnline(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par.SetSharding(3, 5)
-	pfit, err := par.Refit(c.Dataset)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var worst float64
-	for i := range ref.Prob {
-		if d := math.Abs(pfit.Prob[i] - ref.Prob[i]); d > worst {
-			worst = d
-		}
-	}
-	if worst > 0.25 {
-		t.Fatalf("parallel sharded refit drifted by %v", worst)
-	}
-	if par.Batches() != 1 || par.FactsSeen() != c.Dataset.NumFacts() {
-		t.Fatal("refit counters not reset")
-	}
-	if _, err := par.Predict(c.Dataset); err != nil {
-		t.Fatalf("Predict after sharded refit: %v", err)
-	}
-}
-
 func TestStateRoundTripIsBitIdentical(t *testing.T) {
 	c := testCorpus(t, 7)
 	batches := store.SplitEntities(c.Dataset, 4)
