@@ -175,44 +175,48 @@ func TestCompactedCountSurvivesFailedFit(t *testing.T) {
 // keep, and the dirty policy must produce a snapshot bit-identical to a
 // full-policy server fed the same batches.
 func TestDirtyRefitAllDirtyMatchesFull(t *testing.T) {
-	mk := func(policy RefitPolicy) *Server {
-		cfg := testConfig(policy)
-		cfg.FullEvery = 100
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
+	// The server fits with one engine, i.e. a single shard; the subtest is
+	// named for that so the case keeps the name it had under a shard table.
+	t.Run("shards=1", func(t *testing.T) {
+		mk := func(policy RefitPolicy) *Server {
+			cfg := testConfig(policy)
+			cfg.FullEvery = 100
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { s.Close() })
+			return s
 		}
-		t.Cleanup(func() { s.Close() })
-		return s
-	}
-	d, f := mk(RefitDirty), mk(RefitFull)
+		d, f := mk(RefitDirty), mk(RefitFull)
 
-	rows := positiveRows(testCorpus(t, 7).Dataset)
-	entities := map[string]struct{}{}
-	for _, r := range rows {
-		entities[r.Entity] = struct{}{}
-	}
-	mustIngest(t, d, rows)
-	mustIngest(t, f, rows)
-	mustEqualSnapshots(t, mustRefit(t, d), mustRefit(t, f))
+		rows := positiveRows(testCorpus(t, 7).Dataset)
+		entities := map[string]struct{}{}
+		for _, r := range rows {
+			entities[r.Entity] = struct{}{}
+		}
+		mustIngest(t, d, rows)
+		mustIngest(t, f, rows)
+		mustEqualSnapshots(t, mustRefit(t, d), mustRefit(t, f))
 
-	// Two rounds of batches that touch EVERY entity: the dirty server must
-	// detect the degenerate case and match the full server exactly.
-	for r := 0; r < 2; r++ {
-		var batch []model.Row
-		for e := range entities {
-			batch = append(batch,
-				model.Row{Entity: e, Attribute: fmt.Sprintf("x%d", r), Source: "good"},
-				model.Row{Entity: e, Attribute: fmt.Sprintf("x%d", r), Source: "messy"})
+		// Two rounds of batches that touch EVERY entity: the dirty server must
+		// detect the degenerate case and match the full server exactly.
+		for r := 0; r < 2; r++ {
+			var batch []model.Row
+			for e := range entities {
+				batch = append(batch,
+					model.Row{Entity: e, Attribute: fmt.Sprintf("x%d", r), Source: "good"},
+					model.Row{Entity: e, Attribute: fmt.Sprintf("x%d", r), Source: "messy"})
+			}
+			mustIngest(t, d, batch)
+			mustIngest(t, f, batch)
+			sd, sf := mustRefit(t, d), mustRefit(t, f)
+			if sd.Mode != RefitFull {
+				t.Fatalf("round %d: all-dirty refit mode %q, want full fallback", r, sd.Mode)
+			}
+			mustEqualSnapshots(t, sd, sf)
 		}
-		mustIngest(t, d, batch)
-		mustIngest(t, f, batch)
-		sd, sf := mustRefit(t, d), mustRefit(t, f)
-		if sd.Mode != RefitFull {
-			t.Fatalf("round %d: all-dirty refit mode %q, want full fallback", r, sd.Mode)
-		}
-		mustEqualSnapshots(t, sd, sf)
-	}
+	})
 }
 
 // TestDirtyRefitCleanEntitiesUnchanged is the isolation property: a dirty
